@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channel import derive_seed
 from .errors import ConfigError, SolverError
 
 LN2 = math.log(2.0)
@@ -113,21 +114,6 @@ def mse(W, H, U, N0):
     return np.abs(1.0 - diag) ** 2 + interf + N0 * np.sum(np.abs(U) ** 2, axis=2)
 
 
-def sca_coefficients(t_bar):
-    """Tangent coefficients of the convex rate-to-MSE map 2**(-t) at t_bar.
-
-    Returns (alpha, zeta) with zeta - alpha * t the tangent line; the
-    tangency identity zeta - alpha * t_bar == 2**(-t_bar) holds exactly.
-    """
-    t_bar = np.asarray(t_bar, dtype=float)
-    f = np.exp2(t_bar)
-    alpha = LN2 / f
-    zeta = (1.0 + t_bar * LN2) / f
-    if alpha.ndim == 0:
-        return float(alpha), float(zeta)
-    return alpha, zeta
-
-
 # ---------------------------------------------------------------------------
 # Rate objective
 # ---------------------------------------------------------------------------
@@ -150,22 +136,6 @@ def rate_objective(W, H, layout, N0, U=None) -> float:
 # ---------------------------------------------------------------------------
 # Closed-form primal/dual updates
 # ---------------------------------------------------------------------------
-
-def update_tx_beamformers(U, lam, mu, H):
-    """Transmit vectors minimizing the weighted-MSE Lagrangian at fixed receivers.
-
-    Stationarity puts the multipliers inside the accumulation matrix:
-    (sum_{k,s'} lam[k,s'] b b^H + mu I) w_s = sum_{k in group(s)} lam[k,s] b,
-    with b = H_k^H u_{k,s'}.  The (L x L) left-hand matrix is shared by
-    all streams and factored once per call.
-    """
-    B = np.einsum("ugl,usg->usl", H.conj(), U)  # H_u^H u_{u,s}
-    A = np.einsum("us,usl,usm->lm", lam, B, B.conj())
-    rhs = np.einsum("us,usl->sl", lam, B)
-    if mu <= 0 and np.linalg.matrix_rank(A) < A.shape[0]:
-        raise SolverError(f"regularizer mu={mu} with rank-deficient accumulation")
-    return np.linalg.solve(A + mu * np.eye(A.shape[0]), rhs.T).T
-
 
 def closed_form_mu(lam, U, P_T) -> float:
     """Power-constraint multiplier from the dual stationarity identity."""
@@ -246,9 +216,9 @@ def solve_tx_with_power(U, lam, H, P_T, mode="closed_form"):
     return W, mu, power_of(mu), rel
 
 
-def update_rates(v, eps, layout, zeta=None):
+def update_rates(v, eps, layout):
     """Per-(user, slot) rates as dual-weighted means of the group log rates,
-    and the common rate as their weighted per-user aggregate."""
+    and the common rate as the mean over users of their slot sums."""
     nU, nG, q = layout.n_users, layout.n_groups, layout.q
     eps_safe = np.clip(eps, EPS_FLOOR, None)
     linv = np.where(layout.member, -np.log2(eps_safe), 0.0)
@@ -262,11 +232,7 @@ def update_rates(v, eps, layout, zeta=None):
                       RuntimeWarning, stacklevel=2)
     with np.errstate(invalid="ignore", divide="ignore"):
         r = np.where(den > 0, num / den, l_r.sum(axis=1) / counts[:, None])
-    if zeta is None:
-        r_c = float(np.mean(r.sum(axis=1)))
-    else:
-        r_c = float(np.sum(np.asarray(zeta) * r.sum(axis=1)))
-    return r, r_c
+    return r, float(np.mean(r.sum(axis=1)))
 
 
 def update_duals(v, eps, r_c, eta, layout, rates=None, variant="common_rate"):
@@ -305,23 +271,38 @@ def update_duals(v, eps, r_c, eta, layout, rates=None, variant="common_rate"):
 # Alternating solver
 # ---------------------------------------------------------------------------
 
+MAX_INNER = 20  # inner iterations per receiver refresh
+STEP_PER_SLOT = 0.1  # dual subgradient step, per substream slot
+TOL = 1e-4  # objective change counted as no progress, inner and outer
+PATIENCE = 3  # consecutive sub-tolerance refreshes before stopping
+USER_WEIGHT_STEP = 0.5  # exponentiated step of the per-user priority weights
+
+# solver diagnostics that hold per run; a merge keeps the worst value
+INVARIANT_KEYS = ("power_overrun", "dual_norm_err", "stationarity", "outer_decrease")
+
+
+def merge_invariants(into: dict, diag: dict):
+    """Fold the invariant diagnostics of ``diag`` into ``into``, worst value wins."""
+    for key in INVARIANT_KEYS:
+        into[key] = max(into[key], diag[key])
+
+
 @dataclass
 class SolverOptions:
     """Knobs of the alternating solver; defaults suit desk-scale scenarios."""
 
     max_outer: int = 30
-    max_inner: int = 20
-    step_size: float | None = None  # subgradient step, defaults to 0.1 * q
-    tol_inner: float = 1e-4
-    tol_outer: float = 1e-4
-    patience: int = 3  # consecutive sub-tolerance refreshes before stopping
     mu_mode: str = "closed_form"  # or "bisection"
     gradient: str = "common_rate"  # or "per_user"
-    user_weights: str = "adaptive"  # or "uniform"
-    user_weight_step: float = 0.5
     n_restarts: int = 1
     init_seed: int = 0
     keep_trace: bool = True
+
+    def __post_init__(self):
+        if self.mu_mode not in ("closed_form", "bisection"):
+            raise ConfigError(f"mu_mode must be closed_form or bisection, got {self.mu_mode!r}")
+        if self.gradient not in ("common_rate", "per_user"):
+            raise ConfigError(f"gradient must be common_rate or per_user, got {self.gradient!r}")
 
 
 @dataclass(eq=False)
@@ -330,14 +311,6 @@ class BeamformerState:
 
     W: np.ndarray
     U: np.ndarray
-    lam: np.ndarray
-    v: np.ndarray
-    mu: float
-    t_bar: np.ndarray
-    eps: np.ndarray
-    rates: np.ndarray  # per-(user, slot) dual-weighted rates of the last inner pass
-    r_c: float
-    user_priorities: np.ndarray
     user_rates: np.ndarray  # per-user totals from the final SINRs
     objective: float
     power: float
@@ -345,23 +318,29 @@ class BeamformerState:
     trace: list = field(repr=False, default_factory=list)
 
 
+def _group_directions(layout: StreamLayout, H):
+    """Unit direction per stream: substream j of a group along the j-th right
+    singular vector of the group's stacked channel (the last one reused)."""
+    dirs = np.zeros((layout.n_streams, H.shape[2]), dtype=complex)
+    for g, T in enumerate(layout.groups):
+        _, _, Vh = np.linalg.svd(np.vstack([H[u] for u in T]))
+        for j in range(layout.q):
+            dirs[g * layout.q + j] = Vh[min(j, Vh.shape[0] - 1)].conj()
+    return dirs
+
+
 def group_svd_init(layout: StreamLayout, H, P_T):
     """Structured start: each substream along a right singular vector of its
     group's stacked channel, equal total power P_T."""
-    nS, L = layout.n_streams, H.shape[2]
-    W = np.zeros((nS, L), dtype=complex)
-    for g, T in enumerate(layout.groups):
-        stacked = np.vstack([H[u] for u in T])
-        _, _, Vh = np.linalg.svd(stacked)
-        for j in range(layout.q):
-            W[g * layout.q + j] = Vh[min(j, Vh.shape[0] - 1)].conj()
+    W = _group_directions(layout, H)
     return W * np.sqrt(P_T / tx_power(W))
 
 
-def _optimize_single(layout, H, P_T, N0, opt, init_seed, eta, W0=None):
+def _optimize_single(layout, H, P_T, N0, opt, init_seed, W0=None):
     member = layout.member
     nU, nS = layout.n_users, layout.n_streams
     L = H.shape[2]
+    eta = STEP_PER_SLOT * layout.q
 
     if W0 is not None:
         W = W0.copy()
@@ -373,19 +352,8 @@ def _optimize_single(layout, H, P_T, N0, opt, init_seed, eta, W0=None):
     v = np.where(member, 1.0 / nU, 0.0)
     lam = v.copy()
     z = np.full(nU, 1.0 / nU)  # per-user priority weights
-    mu = 1.0
-    eps = np.where(member, 1.0, 0.0)
-    t_bar = np.zeros_like(eps)
-    rates = np.zeros((nU, layout.q))
-    r_c = 0.0
     trace: list = []
-    diag = {
-        "power_overrun": 0.0,
-        "dual_norm_err": 0.0,
-        "stationarity": 0.0,
-        "outer_decrease": 0.0,
-        "outer_iterations": 0,
-    }
+    diag = dict(dict.fromkeys(INVARIANT_KEYS, 0.0), outer_iterations=0)
 
     def check_finite(name, arr):
         if not np.all(np.isfinite(arr)):
@@ -399,15 +367,15 @@ def _optimize_single(layout, H, P_T, N0, opt, init_seed, eta, W0=None):
         diag["outer_iterations"] = outer
         if obj_prev is not None:
             diag["outer_decrease"] = max(diag["outer_decrease"], obj_prev - obj)
-            stall = stall + 1 if abs(obj - obj_prev) < opt.tol_outer else 0
-            if stall >= opt.patience:
+            stall = stall + 1 if abs(obj - obj_prev) < TOL else 0
+            if stall >= PATIENCE:
                 obj_prev = obj
                 break
         obj_prev = obj
 
         best_inner, best_W = obj, W
         inner_prev = None
-        for inner in range(1, opt.max_inner + 1):
+        for inner in range(1, MAX_INNER + 1):
             lam_eff = lam * (z * nU)[:, None]
             W_it, mu, power, resid = solve_tx_with_power(U, lam_eff, H, P_T, mode=opt.mu_mode)
             check_finite("transmit vectors", W_it)
@@ -416,16 +384,15 @@ def _optimize_single(layout, H, P_T, N0, opt, init_seed, eta, W0=None):
 
             eps = mse(W_it, H, U, N0)
             check_finite("stream MSEs", eps)
-            t_bar = np.where(member, -np.log2(np.clip(eps, EPS_FLOOR, None)), 0.0)
             rates, r_c = update_rates(v, eps, layout)
             v, lam = update_duals(v, eps, r_c, eta, layout, rates=rates,
                                   variant=opt.gradient)
             norm_err = float(np.max(np.abs(v.sum(axis=1) / layout.q - 1.0)))
             diag["dual_norm_err"] = max(diag["dual_norm_err"], norm_err)
-            if opt.user_weights == "adaptive" and nU > 1:
+            if nU > 1:
                 # exponentiated subgradient on the common-rate constraint:
                 # users below the common rate gain priority
-                z = z * np.exp(opt.user_weight_step * (r_c - rates.sum(axis=1)))
+                z = z * np.exp(USER_WEIGHT_STEP * (r_c - rates.sum(axis=1)))
                 z = np.maximum(z, 1e-12)
                 z /= z.sum()
 
@@ -437,7 +404,7 @@ def _optimize_single(layout, H, P_T, N0, opt, init_seed, eta, W0=None):
                 })
             if obj_in > best_inner:
                 best_inner, best_W = obj_in, W_it
-            if inner_prev is not None and abs(obj_in - inner_prev) < opt.tol_inner:
+            if inner_prev is not None and abs(obj_in - inner_prev) < TOL:
                 break
             inner_prev = obj_in
         W = best_W
@@ -446,14 +413,8 @@ def _optimize_single(layout, H, P_T, N0, opt, init_seed, eta, W0=None):
     user_totals = per_user_rates(W, H, layout, N0, U=U)
     objective = float(user_totals.min())
     diag["outer_decrease"] = max(diag["outer_decrease"], (obj_prev or 0.0) - objective)
-    eps_final = mse(W, H, U, N0)
-    return BeamformerState(
-        W=W, U=U, lam=lam, v=v, mu=mu,
-        t_bar=np.where(member, -np.log2(np.clip(eps_final, EPS_FLOOR, None)), 0.0),
-        eps=eps_final, rates=rates, r_c=r_c,
-        user_priorities=z, user_rates=user_totals, objective=objective,
-        power=tx_power(W), diagnostics=diag, trace=trace,
-    )
+    return BeamformerState(W=W, U=U, user_rates=user_totals, objective=objective,
+                           power=tx_power(W), diagnostics=diag, trace=trace)
 
 
 def optimize(layout: StreamLayout, H, P_T, N0, options: SolverOptions | None = None):
@@ -475,14 +436,10 @@ def optimize(layout: StreamLayout, H, P_T, N0, options: SolverOptions | None = N
     opt = options or SolverOptions()
     if H.shape[0] != layout.n_users:
         raise ConfigError(f"channel set has {H.shape[0]} users, layout expects {layout.n_users}")
-    if opt.user_weights not in ("adaptive", "uniform"):
-        raise ConfigError(f"unknown user_weights mode {opt.user_weights!r}")
-    eta = opt.step_size if opt.step_size is not None else 0.1 * layout.q
 
     best = None
-    merged = None
+    merged = dict(dict.fromkeys(INVARIANT_KEYS, 0.0), outer_iterations=0)
     for r in range(max(1, opt.n_restarts)):
-        seed_r = int(np.random.SeedSequence(opt.init_seed, spawn_key=(r,)).generate_state(1)[0])
         # two structured starts (group-SVD, zero-forcing), then random ones;
         # the nulling start matters at high SNR where interference dominates
         if r == 0:
@@ -491,13 +448,9 @@ def optimize(layout: StreamLayout, H, P_T, N0, options: SolverOptions | None = N
             W0 = zf_beamformers(layout, H, P_T, N0).W
         else:
             W0 = None
-        state = _optimize_single(layout, H, P_T, N0, opt, seed_r, eta, W0=W0)
-        if merged is None:
-            merged = dict(state.diagnostics)
-        else:
-            for key in ("power_overrun", "dual_norm_err", "stationarity", "outer_decrease"):
-                merged[key] = max(merged[key], state.diagnostics[key])
-            merged["outer_iterations"] += state.diagnostics["outer_iterations"]
+        state = _optimize_single(layout, H, P_T, N0, opt, derive_seed(opt.init_seed, r), W0=W0)
+        merge_invariants(merged, state.diagnostics)
+        merged["outer_iterations"] += state.diagnostics["outer_iterations"]
         if best is None or state.objective > best.objective:
             best = state
     best.diagnostics.update(merged)
@@ -514,13 +467,12 @@ class ZfResult:
 
     W: np.ndarray
     mf_receivers: np.ndarray  # matched-filter receivers the nulling was built on
-    receivers: np.ndarray  # final MMSE receivers for rate evaluation
     fallback: tuple[bool, ...]  # streams that fell back to regularized inversion
 
 
 def zf_beamformers(layout: StreamLayout, H, P_T, N0) -> ZfResult:
-    """One-shot nulling baseline: matched-filter receivers, then per-stream
-    null-space transmit vectors, then MMSE receivers.
+    """One-shot nulling baseline: matched-filter receivers along the group-SVD
+    directions, then per-stream null-space transmit vectors.
 
     Each stream's transmit vector is forced orthogonal to the effective
     rows of every other stream's intended receivers; when that null
@@ -529,16 +481,8 @@ def zf_beamformers(layout: StreamLayout, H, P_T, N0) -> ZfResult:
     """
     nU, nS = layout.n_users, layout.n_streams
     G, L = H.shape[1], H.shape[2]
-    q = layout.q
 
-    # initial transmit directions: right singular vectors of each group's stacked channel
-    dirs = np.zeros((nS, L), dtype=complex)
-    for g, T in enumerate(layout.groups):
-        stacked = np.vstack([H[u] for u in T])
-        _, _, Vh = np.linalg.svd(stacked)
-        for j in range(q):
-            dirs[g * q + j] = Vh[min(j, Vh.shape[0] - 1)].conj()
-
+    dirs = _group_directions(layout, H)
     mf = np.zeros((nU, nS, G), dtype=complex)
     for s in range(nS):
         for u in layout.groups[layout.stream_group[s]]:
@@ -577,8 +521,7 @@ def zf_beamformers(layout: StreamLayout, H, P_T, N0) -> ZfResult:
         fallback.append(used_fallback)
         W[s] = w * np.sqrt(per_stream) / np.linalg.norm(w)
 
-    final = lmmse_receivers(W, H, N0, layout.member)
-    return ZfResult(W=W, mf_receivers=mf, receivers=final, fallback=tuple(fallback))
+    return ZfResult(W=W, mf_receivers=mf, fallback=tuple(fallback))
 
 
 def zf_leakage(result: ZfResult, layout: StreamLayout, H) -> float | None:

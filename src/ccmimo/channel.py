@@ -11,7 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InputError
+
+
+def derive_seed(seed: int, *key: int) -> int:
+    """A 32-bit integer seed for the named substream ``key`` of ``seed``."""
+    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,17 +63,26 @@ def dump_channels(cs: ChannelSet) -> str:
 
 
 def load_channels(text: str) -> ChannelSet:
-    """Parse the dump_channels format back into a ChannelSet."""
+    """Parse the dump_channels format back into a ChannelSet.
+
+    Raises InputError when the text is not a complete, well-formed dump.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = dict(tok.split("=") for tok in lines[0].split()[1:])
-    K, G, L = int(head["K"]), int(head["G"]), int(head["L"])
-    H = np.empty((K, G, L), dtype=np.complex128)
-    pos = 1
-    for k in range(K):
-        assert lines[pos] == f"user {k}", f"malformed channel dump near line {pos}"
-        pos += 1
-        for g in range(G):
-            vals = [float(x) for x in lines[pos].split()]
-            H[k, g] = [complex(vals[2 * j], vals[2 * j + 1]) for j in range(L)]
-            pos += 1
-    return ChannelSet(int(head["seed"]), int(head["realization"]), H)
+    try:
+        head = dict(tok.split("=") for tok in lines[0].split()[1:])
+        K, G, L = int(head["K"]), int(head["G"]), int(head["L"])
+        if len(lines) != 1 + K * (1 + G):
+            raise ValueError(f"{len(lines)} lines, expected {1 + K * (1 + G)}")
+        H = np.empty((K, G, L), dtype=np.complex128)
+        for k in range(K):
+            pos = 1 + k * (1 + G)
+            if lines[pos] != f"user {k}":
+                raise ValueError(f"line {pos} is {lines[pos]!r}, expected 'user {k}'")
+            # consecutive (re, im) float pairs are the memory layout of complex128
+            rows = np.array([[float(x) for x in ln.split()] for ln in lines[pos + 1:pos + 1 + G]])
+            if rows.shape != (G, 2 * L):
+                raise ValueError(f"user {k} rows have shape {rows.shape}, expected {(G, 2 * L)}")
+            H[k] = rows.view(np.complex128)
+        return ChannelSet(int(head["seed"]), int(head["realization"]), H)
+    except (IndexError, KeyError, ValueError) as exc:
+        raise InputError(f"malformed channel dump: {exc}") from exc

@@ -13,20 +13,19 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .beamforming import (SolverOptions, layout_for_subset, optimize,
-                          rate_objective, zf_beamformers, zf_leakage)
-from .channel import sample_channels, snr_to_power
+from .beamforming import SolverOptions, layout_for_subset, zf_leakage
+from .channel import derive_seed, sample_channels, snr_to_power
 from .config import NetworkConfig
 from .delivery import (build_codewords, build_placement, dump_codewords,
                        dump_plan, freshness_audit, plan_transmissions,
                        subpacketization, verify_decode)
 from .dof import format_scan_table, optimize_dof
 from .errors import ConfigError, DeliveryError, InputError, PlanError, SolverError
-from .evaluate import monte_carlo_sweep, symmetric_rate
+from .evaluate import monte_carlo_sweep, run_scheme, symmetric_rate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -54,6 +53,17 @@ class RunConfig:
 
 
 _NETWORK_FIELDS = ("K", "L", "G", "N", "M")
+_GETTERS = {"int": "getint", "float": "getfloat", "str": "get"}  # by field annotation
+# SolverOptions fields each command sets itself (seeds per transmission,
+# tracing per command), so a run file may not hold them
+_PER_CALL = ("init_seed", "keep_trace")
+
+
+def _read_fields(section, cls) -> dict:
+    """The fields of dataclass ``cls`` present in an INI section, each parsed
+    by its annotated type."""
+    return {f.name: getattr(section, _GETTERS[f.type])(f.name)
+            for f in fields(cls) if f.name in section}
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -66,14 +76,7 @@ def load_run_config(path: str) -> RunConfig:
     for name in _NETWORK_FIELDS:
         if name not in net:
             raise ConfigError(f"config is missing mandatory field network.{name}")
-    network = NetworkConfig(
-        K=net.getint("K"), L=net.getint("L"), G=net.getint("G"),
-        N=net.getint("N"), M=net.getint("M"),
-        file_size_bits=net.getint("file_size_bits", fallback=8192),
-        P_T=net.getfloat("P_T", fallback=1.0),
-        N0=net.getfloat("N0", fallback=1.0),
-    )
-    rc = RunConfig(network=network)
+    rc = RunConfig(network=NetworkConfig(**_read_fields(net, NetworkConfig)))
 
     plan = cp["plan"] if "plan" in cp else {}
     for name in ("omega", "beta", "q"):
@@ -81,26 +84,11 @@ def load_run_config(path: str) -> RunConfig:
             setattr(rc, name, int(plan[name]))
 
     if "solver" in cp:
-        so = cp["solver"]
-        rc.solver = SolverOptions(
-            max_outer=so.getint("max_outer", fallback=30),
-            max_inner=so.getint("max_inner", fallback=20),
-            step_size=so.getfloat("step_size", fallback=None) if "step_size" in so else None,
-            tol_inner=so.getfloat("tol_inner", fallback=1e-4),
-            tol_outer=so.getfloat("tol_outer", fallback=1e-4),
-            patience=so.getint("patience", fallback=3),
-            mu_mode=so.get("mu_mode", fallback="closed_form"),
-            gradient=so.get("gradient", fallback="common_rate"),
-            user_weights=so.get("user_weights", fallback="adaptive"),
-            user_weight_step=so.getfloat("user_weight_step", fallback=0.5),
-            n_restarts=so.getint("n_restarts", fallback=1),
-        )
-        if rc.solver.mu_mode not in ("closed_form", "bisection"):
-            raise ConfigError(f"solver.mu_mode must be closed_form or bisection, "
-                              f"got {rc.solver.mu_mode!r}")
-        if rc.solver.gradient not in ("common_rate", "per_user"):
-            raise ConfigError(f"solver.gradient must be common_rate or per_user, "
-                              f"got {rc.solver.gradient!r}")
+        known = [f.name for f in fields(SolverOptions) if f.name not in _PER_CALL]
+        for key in cp["solver"]:
+            if key not in known:
+                raise ConfigError(f"unknown key solver.{key}; expected one of {', '.join(known)}")
+        rc.solver = SolverOptions(**_read_fields(cp["solver"], SolverOptions))
 
     if "sweep" in cp:
         sw = cp["sweep"]
@@ -123,19 +111,10 @@ def load_run_config(path: str) -> RunConfig:
 
 def save_run_config(rc: RunConfig, path: str):
     cp = configparser.ConfigParser()
-    net = rc.network
-    cp["network"] = {
-        "K": net.K, "L": net.L, "G": net.G, "N": net.N, "M": net.M,
-        "file_size_bits": net.file_size_bits, "P_T": repr(net.P_T), "N0": repr(net.N0),
-    }
+    cp["network"] = asdict(rc.network)
     cp["plan"] = {k: v for k, v in (("omega", rc.omega), ("beta", rc.beta), ("q", rc.q))
                   if v is not None}
-    so = asdict(rc.solver)
-    so.pop("init_seed")
-    so.pop("keep_trace")
-    if so["step_size"] is None:
-        so.pop("step_size")
-    cp["solver"] = {k: v for k, v in so.items()}
+    cp["solver"] = {k: v for k, v in asdict(rc.solver).items() if k not in _PER_CALL}
     cp["sweep"] = {
         "snr_db": ",".join(f"{s:g}" for s in rc.snr_db),
         "realizations": rc.realizations,
@@ -176,12 +155,15 @@ def cmd_plan(rc: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _random_library(rc: RunConfig, rng):
+def _random_demand(rc: RunConfig):
+    """Seeded random library and one file request per user."""
     bits = rc.network.file_size_bits
     if bits % 8 != 0:
         raise ConfigError(f"file_size_bits={bits} must be a multiple of 8 to "
                           f"generate byte payloads")
-    return [rng.bytes(bits // 8) for _ in range(rc.network.N)]
+    rng = np.random.default_rng(np.random.SeedSequence(rc.seed, spawn_key=(3,)))
+    library = [rng.bytes(bits // 8) for _ in range(rc.network.N)]
+    return library, rng.integers(0, rc.network.N, size=rc.network.K).tolist()
 
 
 def cmd_verify_delivery(rc: RunConfig, args) -> int:
@@ -190,9 +172,7 @@ def cmd_verify_delivery(rc: RunConfig, args) -> int:
         raise ConfigError(f"K={net.K} exceeds the desk-scale cap "
                           f"{rc.desk_scale_cap} for bit-exact verification")
     dp, plan = resolve_plan(rc)
-    rng = np.random.default_rng(np.random.SeedSequence(rc.seed, spawn_key=(3,)))
-    library = _random_library(rc, rng)
-    requests = rng.integers(0, net.N, size=net.K).tolist()
+    library, requests = _random_demand(rc)
     placement = build_placement(net, library)
     codewords = build_codewords(plan, requests, placement)
 
@@ -240,37 +220,31 @@ def cmd_simulate(rc: RunConfig, args) -> int:
     scheme = args.scheme[0] if args.scheme else "kkt_lmmse"
     snr = args.snr[0] if args.snr else net.snr_db
     P_T = snr_to_power(snr, net.N0)
-    cs = sample_channels(int(np.random.SeedSequence(rc.seed, spawn_key=(0,)).generate_state(1)[0]),
-                         0, net.K, net.G, net.L)
+    cs = sample_channels(derive_seed(rc.seed, 0), 0, net.K, net.G, net.L)
     os.makedirs(rc.out_dir, exist_ok=True)
 
     rates = []
     for i in range(plan.n_transmissions):
         layout = layout_for_subset(plan, i)
         Hs = cs.H[list(layout.users)]
+        path = os.path.join(rc.out_dir, f"trace_tx{i}.txt")
+        try:
+            r, design = run_scheme(scheme, layout, Hs, P_T, net.N0, rc.solver,
+                                   derive_seed(rc.seed, 1, i), rc.oracle_restarts)
+        except SolverError as err:
+            _write_trace(path, err.trace)
+            print(f"solver failed on transmission {i}; trace at {path}: {err}")
+            raise
+        line = f"transmission {i}: subset={layout.users} rate={r:.4f}"
         if scheme == "zf":
-            res = zf_beamformers(layout, Hs, P_T, net.N0)
-            r = rate_objective(res.W, Hs, layout, net.N0)
-            leak = zf_leakage(res, layout, Hs)
-            print(f"transmission {i}: subset={layout.users} rate={r:.4f} "
-                  f"fallback={sum(res.fallback)}/{len(res.fallback)} "
-                  f"leakage={'n/a' if leak is None else f'{leak:.3e}'}")
-        else:
-            iseed = int(np.random.SeedSequence(rc.seed, spawn_key=(1, i)).generate_state(1)[0])
-            opts = replace(rc.solver, init_seed=iseed)
-            try:
-                st = optimize(layout, Hs, P_T, net.N0, options=opts)
-            except SolverError as err:
-                path = os.path.join(rc.out_dir, f"trace_tx{i}.txt")
-                _write_trace(path, err.trace)
-                print(f"solver failed on transmission {i}; trace at {path}: {err}")
-                raise
-            path = os.path.join(rc.out_dir, f"trace_tx{i}.txt")
-            _write_trace(path, st.trace)
-            r = st.objective
-            print(f"transmission {i}: subset={layout.users} rate={r:.4f} "
-                  f"power={st.power:.4f} outers={st.diagnostics['outer_iterations']} "
-                  f"trace={path}")
+            leak = zf_leakage(design, layout, Hs)
+            line += (f" fallback={sum(design.fallback)}/{len(design.fallback)} "
+                     f"leakage={'n/a' if leak is None else f'{leak:.3e}'}")
+        elif scheme == "kkt_lmmse":
+            _write_trace(path, design.trace)
+            line += (f" power={design.power:.4f} "
+                     f"outers={design.diagnostics['outer_iterations']} trace={path}")
+        print(line)
         rates.append(r)
 
     rsym = symmetric_rate(rates, net.K, plan.theta)
@@ -312,9 +286,7 @@ def cmd_sweep(rc: RunConfig, args) -> int:
 def cmd_dump(rc: RunConfig, args) -> int:
     """Plan and codeword dumps for a seeded random library (debug aid)."""
     dp, plan = resolve_plan(rc)
-    rng = np.random.default_rng(np.random.SeedSequence(rc.seed, spawn_key=(3,)))
-    library = _random_library(rc, rng)
-    requests = rng.integers(0, rc.network.N, size=rc.network.K).tolist()
+    library, requests = _random_demand(rc)
     placement = build_placement(rc.network, library)
     print(dump_plan(plan), end="")
     print(dump_codewords(build_codewords(plan, requests, placement)), end="")

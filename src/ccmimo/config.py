@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -28,13 +29,12 @@ class NetworkConfig:
     N0: float = 1.0
 
     def __post_init__(self):
-        for name in ("K", "L", "G", "N"):
-            if int(getattr(self, name)) < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {getattr(self, name)}")
-        if self.M < 0:
-            raise ConfigError(f"M must be non-negative, got {self.M}")
-        if self.file_size_bits < 1:
-            raise ConfigError(f"file_size_bits must be positive, got {self.file_size_bits}")
+        # counts are real integers (numpy integers too, bools not)
+        for name, least in (("K", 1), ("L", 1), ("G", 1), ("N", 1), ("M", 0),
+                            ("file_size_bits", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.P_T <= 0:
             raise ConfigError(f"P_T must be positive, got {self.P_T}")
         if self.N0 <= 0:

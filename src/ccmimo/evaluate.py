@@ -16,9 +16,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import oracle
-from .beamforming import (BeamformerState, SolverOptions, layout_for_subset,
-                          optimize, rate_objective, zf_beamformers)
-from .channel import sample_channels, snr_to_power
+from .beamforming import (INVARIANT_KEYS, SolverOptions, layout_for_subset,
+                          merge_invariants, optimize, rate_objective, zf_beamformers)
+from .channel import derive_seed, sample_channels, snr_to_power
 from .config import NetworkConfig
 from .delivery import DeliveryPlan
 from .errors import ConfigError, InputError, SolverError
@@ -26,16 +26,6 @@ from .errors import ConfigError, InputError, SolverError
 SCHEMES = ("kkt_lmmse", "zf", "oracle_smallscale")
 
 DB_PER_BIT = np.log2(10.0) / 10.0  # high-SNR slope of log2(1+snr) per dB
-
-
-def transmission_rate(state, layout, H, N0) -> float:
-    """Worst-user rate of one transmission, recomputed from final beamformers.
-
-    Accepts a solver state or a bare transmit matrix; receivers are
-    re-derived as MMSE for the evaluation.
-    """
-    W = state.W if isinstance(state, BeamformerState) else state
-    return rate_objective(W, H, layout, N0)
 
 
 def symmetric_rate(rates, K: int, theta: int) -> float:
@@ -101,13 +91,23 @@ class RateReport:
         return [p.mean_rsym for p in self.points if p.scheme == scheme]
 
 
-def _channel_seed(seed: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=(0,)).generate_state(1)[0])
+def run_scheme(scheme, layout, H, P_T, N0, options: SolverOptions, seed: int,
+               oracle_restarts: int):
+    """Worst-user rate of one transmission under one scheme, and the design
+    behind it: a BeamformerState, a ZfResult, or the oracle's transmit set.
 
-
-def _init_seed(seed, scheme_idx, snr_idx, realization, subset_idx) -> int:
-    key = (1, scheme_idx, snr_idx, realization, subset_idx)
-    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
+    ``seed`` seeds the solver's initializations or the oracle's restarts.
+    """
+    if scheme == "kkt_lmmse":
+        st = optimize(layout, H, P_T, N0, options=replace(options, init_seed=seed))
+        return st.objective, st
+    if scheme == "zf":
+        res = zf_beamformers(layout, H, P_T, N0)
+        return rate_objective(res.W, H, layout, N0), res
+    if scheme == "oracle_smallscale":
+        return oracle.max_rate_projected_gradient(H, layout.groups, layout.q, P_T, N0,
+                                                  restarts=oracle_restarts, seed=seed)
+    raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
 
 def _sweep_job(args):
@@ -115,35 +115,24 @@ def _sweep_job(args):
     (config, plan, schemes, snr_db, snr_idx, realization, subsets, options,
      seed, oracle_restarts) = args
     P_T = snr_to_power(snr_db, config.N0)
-    cs = sample_channels(_channel_seed(seed), realization, config.K, config.G, config.L)
-    diag = {"power_overrun": 0.0, "dual_norm_err": 0.0, "stationarity": 0.0,
-            "outer_decrease": 0.0}
+    cs = sample_channels(derive_seed(seed, 0), realization, config.K, config.G, config.L)
+    options = replace(options, keep_trace=False)
+    diag = dict.fromkeys(INVARIANT_KEYS, 0.0)
     results = []
     for scheme_idx, scheme in enumerate(schemes):
         rates: list | None = []
         for subset_idx in subsets:
             layout = layout_for_subset(plan, subset_idx)
             Hs = cs.H[list(layout.users)]
-            iseed = _init_seed(seed, scheme_idx, snr_idx, realization, subset_idx)
+            iseed = derive_seed(seed, 1, scheme_idx, snr_idx, realization, subset_idx)
             try:
-                if scheme == "kkt_lmmse":
-                    st = optimize(layout, Hs, P_T, config.N0,
-                                  options=replace(options, init_seed=iseed, keep_trace=False))
-                    for key in diag:
-                        diag[key] = max(diag[key], st.diagnostics[key])
-                    r = st.objective
-                elif scheme == "zf":
-                    res = zf_beamformers(layout, Hs, P_T, config.N0)
-                    r = rate_objective(res.W, Hs, layout, config.N0)
-                elif scheme == "oracle_smallscale":
-                    r, _ = oracle.max_rate_projected_gradient(
-                        Hs, layout.groups, layout.q, P_T, config.N0,
-                        restarts=oracle_restarts, seed=iseed)
-                else:
-                    raise ConfigError(f"unknown scheme {scheme!r}")
+                r, design = run_scheme(scheme, layout, Hs, P_T, config.N0, options, iseed,
+                                       oracle_restarts)
             except SolverError:
                 rates = None
                 break
+            if scheme == "kkt_lmmse":
+                merge_invariants(diag, design.diagnostics)
             if not r > 0:
                 rates = None
                 break
@@ -201,15 +190,12 @@ def monte_carlo_sweep(config: NetworkConfig, plan: DeliveryPlan, schemes, snr_db
         "n_realizations": n_realizations, "seed": seed,
         "n_transmissions": n_tx, "subsets_used": list(subsets),
         "extrapolation_factor": factor,
-        "solver_diagnostics": {"power_overrun": 0.0, "dual_norm_err": 0.0,
-                               "stationarity": 0.0, "outer_decrease": 0.0},
+        "solver_diagnostics": dict.fromkeys(INVARIANT_KEYS, 0.0),
     })
 
     for snr_idx, realization, results, diag in raw:
         snr = snr_db[snr_idx]
-        for key, val in diag.items():
-            cur = report.meta["solver_diagnostics"]
-            cur[key] = max(cur[key], val)
+        merge_invariants(report.meta["solver_diagnostics"], diag)
         for scheme, rates in results:
             slot = report.rsym.setdefault((scheme, snr), [None] * n_realizations)
             if rates is None:

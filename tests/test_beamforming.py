@@ -5,11 +5,10 @@ import pytest
 
 from ccmimo import (ConfigError, NetworkConfig, SolverOptions, StreamLayout,
                     lmmse_receivers, mse, optimize, plan_transmissions,
-                    rate_objective, sca_coefficients, sinr, zf_beamformers,
-                    zf_leakage)
+                    rate_objective, sinr, zf_beamformers, zf_leakage)
 from ccmimo.beamforming import (closed_form_mu, layout_for_subset,
                                 solve_tx_with_power, tx_power, update_duals,
-                                update_rates, update_tx_beamformers)
+                                update_rates)
 from ccmimo.channel import sample_channels
 
 LN2 = math.log(2.0)
@@ -116,47 +115,30 @@ def test_lmmse_receivers_reject_bad_noise():
 
 
 # ---------------------------------------------------------------------------
-# SCA coefficients
-# ---------------------------------------------------------------------------
-
-def test_sca_at_origin():
-    a, z = sca_coefficients(0.0)
-    assert a == pytest.approx(LN2)
-    assert z == pytest.approx(1.0)
-
-
-def test_sca_at_one():
-    a, z = sca_coefficients(1.0)
-    assert a == pytest.approx(LN2 / 2)
-    assert z == pytest.approx((1 + LN2) / 2)
-    assert z - a == pytest.approx(0.5)  # tangent touches 2**-t at t=1
-
-
-def test_sca_tangency_identity():
-    t = np.linspace(0.0, 12.0, 97)
-    a, z = sca_coefficients(t)
-    assert np.max(np.abs(z - a * t - np.exp2(-t))) < 1e-12
-
-
-# ---------------------------------------------------------------------------
 # closed-form updates
 # ---------------------------------------------------------------------------
 
 def test_update_tx_scalar():
-    # one user, one stream, H=1, u=0.5, lam=1, mu=0.25 -> w = 0.5/(0.25+0.25) = 1
+    # one user, one stream, H=1, u=0.5, lam=1, P_T=1: the closed-form
+    # multiplier is lam |u|^2 / P_T = 0.25, so w = 0.5/(0.25+0.25) = 1
     U = np.array([[[0.5]]], dtype=complex)
     lam = np.array([[1.0]])
     H = np.ones((1, 1, 1), dtype=complex)
-    W = update_tx_beamformers(U, lam, 0.25, H)
+    W, mu, power, resid = solve_tx_with_power(U, lam, H, 1.0)
     assert W[0, 0] == pytest.approx(1.0)
+    assert mu == pytest.approx(0.25)
+    assert power == pytest.approx(1.0)
+    assert resid < 1e-12
 
 
 def test_update_tx_zero_weights():
     rng = np.random.default_rng(3)
     U = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
     H = rng.standard_normal((2, 2, 3)) + 1j * rng.standard_normal((2, 2, 3))
-    W = update_tx_beamformers(U, np.zeros((2, 2)), 0.5, H)
+    W, mu, power, _ = solve_tx_with_power(U, np.zeros((2, 2)), H, 1.0)
     assert np.allclose(W, 0)
+    assert power == 0.0
+    assert mu > 0
 
 
 def test_closed_form_mu():

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+import ccmimo
 from ccmimo import SolverError
 from ccmimo.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VERIFY,
                         load_run_config, main, save_run_config)
@@ -115,14 +116,47 @@ def test_simulate_zf_leakage_audit(ini, capsys):
 
 
 def test_simulate_solver_error_exit(ini, monkeypatch, capsys):
-    import ccmimo.cli as cli_mod
-
     def boom(*args, **kwargs):
         raise SolverError("synthetic failure")
 
-    monkeypatch.setattr(cli_mod, "optimize", boom)
+    monkeypatch.setattr(ccmimo.evaluate, "optimize", boom)
     assert main(["simulate", "--config", ini, "--snr", "10"]) == EXIT_SOLVER
     assert "solver error" in capsys.readouterr().err
+
+
+def test_simulate_unknown_scheme_exit(ini, capsys):
+    assert main(["simulate", "--config", ini, "--snr", "10", "--scheme", "bogus"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "bogus" in captured.err
+    assert "symmetric_rate=" not in captured.out
+
+
+def test_simulate_oracle_scheme_runs_oracle(ini, monkeypatch, capsys):
+    calls = []
+    real = ccmimo.oracle.max_rate_projected_gradient
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["restarts"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ccmimo.oracle, "max_rate_projected_gradient", counted)
+    text = open(ini).read()
+    with open(ini, "w") as fh:
+        fh.write(text.replace("seed = 1", "seed = 1\noracle_restarts = 2"))
+    assert main(["simulate", "--config", ini, "--snr", "10",
+                 "--scheme", "oracle_smallscale"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "scheme=oracle_smallscale" in out
+    assert calls == [2] * 4  # one oracle run per transmission
+
+
+def test_unknown_solver_key_exit_code(ini, capsys):
+    text = open(ini).read()
+    for line in ("max_innr = 7", "user_weights = uniform", "step_size = 0.2", "init_seed = 3"):
+        with open(ini, "w") as fh:
+            fh.write(text.replace("n_restarts = 1", "n_restarts = 1\n" + line))
+        assert main(["plan", "--config", ini]) == EXIT_CONFIG
+        assert f"solver.{line.split()[0]}" in capsys.readouterr().err
 
 
 def test_sweep_outputs(ini, tmp_path, capsys):

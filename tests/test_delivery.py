@@ -100,6 +100,14 @@ def test_placement_rejects_bad_library():
 def test_non_integer_budget_is_config_error():
     with pytest.raises(ConfigError):
         NetworkConfig(K=3, L=3, G=1, N=2, M=1)  # K*M/N = 3/2
+    # every count must be a real integer: no floats, even integral ones, no bools
+    for bad in (dict(L=2.5), dict(K=4.0), dict(G=True), dict(N=4.0), dict(M=1.0),
+                dict(file_size_bits=8192.0), dict(K="4")):
+        with pytest.raises(ConfigError):
+            NetworkConfig(**{**dict(K=4, L=3, G=2, N=4, M=1), **bad})
+    # numpy integers are integers
+    cfg = NetworkConfig(K=np.int64(4), L=np.int32(3), G=2, N=4, M=np.int64(1))
+    assert cfg.t == 1
 
 
 # ---------------------------------------------------------------------------

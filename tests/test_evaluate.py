@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ccmimo import (InputError, NetworkConfig, SolverOptions, fitted_stream_count,
-                    monte_carlo_sweep, plan_transmissions, symmetric_rate,
-                    transmission_rate)
+                    monte_carlo_sweep, plan_transmissions, rate_objective,
+                    symmetric_rate)
 from ccmimo.beamforming import StreamLayout
 from ccmimo.evaluate import DB_PER_BIT
 
@@ -15,7 +15,7 @@ def test_transmission_rate_single_stream():
     lay = StreamLayout(users=(0,), groups=((0,),), q=1)
     H = np.ones((1, 1, 1), dtype=complex)
     W = np.array([[math.sqrt(3.0)]], dtype=complex)
-    assert transmission_rate(W, lay, H, 1.0) == pytest.approx(2.0)
+    assert rate_objective(W, H, lay, 1.0) == pytest.approx(2.0)
 
 
 def test_transmission_rate_worst_user():
@@ -25,7 +25,7 @@ def test_transmission_rate_worst_user():
     H[0, 0, 0] = 1.0
     H[1, 0, 1] = 0.5
     W = np.array([[math.sqrt(3.0), 0.0], [0.0, math.sqrt(3.0)]], dtype=complex)
-    r = transmission_rate(W, lay, H, 1.0)
+    r = rate_objective(W, H, lay, 1.0)
     assert r == pytest.approx(math.log2(1 + 3.0 * 0.25))
 
 
