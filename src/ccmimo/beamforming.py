@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import derive_seed
+from .channel import derive_seed, require_finite
 from .errors import ConfigError, SolverError
 
 LN2 = math.log(2.0)
@@ -90,9 +90,13 @@ def _cross_gains(W, H, U):
     return np.einsum("usg,ugt->ust", U.conj(), heff)  # P[u,s,s'] = u_s^H H_u w_s'
 
 
-def sinr(W, H, U, N0):
-    """Per-stream SINR at every user; interference sums over all other streams."""
-    P = _cross_gains(W, H, U)
+def sinr(W, H, U, N0, P=None):
+    """Per-stream SINR at every user; interference sums over all other streams.
+
+    ``P``, when given, holds the cross-gains of (W, U) already computed.
+    """
+    if P is None:
+        P = _cross_gains(W, H, U)
     p2 = np.abs(P) ** 2
     sig = np.einsum("uss->us", p2).copy()
     interf = p2.sum(axis=2) - sig
@@ -102,12 +106,14 @@ def sinr(W, H, U, N0):
     return g
 
 
-def mse(W, H, U, N0):
+def mse(W, H, U, N0, P=None):
     """Quadratic-form estimation error of every stream at every user.
 
     Equals 1/(1+SINR) exactly when U came from lmmse_receivers for this W.
+    ``P``, when given, holds the cross-gains of (W, U) already computed.
     """
-    P = _cross_gains(W, H, U)
+    if P is None:
+        P = _cross_gains(W, H, U)
     p2 = np.abs(P) ** 2
     diag = np.einsum("uss->us", P)
     interf = p2.sum(axis=2) - np.abs(diag) ** 2
@@ -118,19 +124,19 @@ def mse(W, H, U, N0):
 # Rate objective
 # ---------------------------------------------------------------------------
 
-def per_user_rates(W, H, layout, N0, U=None):
+def per_user_rates(W, H, layout, N0, U=None, P=None):
     """Each served user's sum over substream slots of its worst group rate."""
     if U is None:
         U = lmmse_receivers(W, H, N0, layout.member)
-    g = sinr(W, H, U, N0)
+    g = sinr(W, H, U, N0, P=P)
     vals = np.log2(1.0 + g).reshape(layout.n_users, layout.n_groups, layout.q)
     masked = np.where(layout.member_groups[:, :, None], vals, np.inf)
     return masked.min(axis=1).sum(axis=1)
 
 
-def rate_objective(W, H, layout, N0, U=None) -> float:
+def rate_objective(W, H, layout, N0, U=None, P=None) -> float:
     """Worst-user rate of one transmission, the quantity the solver maximizes."""
-    return float(per_user_rates(W, H, layout, N0, U=U).min())
+    return float(per_user_rates(W, H, layout, N0, U=U, P=P).min())
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +388,8 @@ def _optimize_single(layout, H, P_T, N0, opt, init_seed, W0=None):
             diag["stationarity"] = max(diag["stationarity"], resid)
             diag["power_overrun"] = max(diag["power_overrun"], (power - P_T) / P_T)
 
-            eps = mse(W_it, H, U, N0)
+            P_it = _cross_gains(W_it, H, U)  # shared by the MSEs and the rate
+            eps = mse(W_it, H, U, N0, P=P_it)
             check_finite("stream MSEs", eps)
             rates, r_c = update_rates(v, eps, layout)
             v, lam = update_duals(v, eps, r_c, eta, layout, rates=rates,
@@ -396,7 +403,7 @@ def _optimize_single(layout, H, P_T, N0, opt, init_seed, W0=None):
                 z = np.maximum(z, 1e-12)
                 z /= z.sum()
 
-            obj_in = rate_objective(W_it, H, layout, N0, U=U)
+            obj_in = rate_objective(W_it, H, layout, N0, U=U, P=P_it)
             if opt.keep_trace:
                 trace.append({
                     "outer": outer, "inner": inner, "objective": obj_in,
@@ -431,9 +438,11 @@ def optimize(layout: StreamLayout, H, P_T, N0, options: SolverOptions | None = N
     (invariant diagnostics are merged across restarts).
 
     Returns a BeamformerState whose ``objective`` is the worst-user rate
-    recomputed from the final transmit and receive vectors.
+    recomputed from the final transmit and receive vectors.  A channel
+    with NaN or inf entries is an InputError.
     """
     opt = options or SolverOptions()
+    require_finite(H)
     if H.shape[0] != layout.n_users:
         raise ConfigError(f"channel set has {H.shape[0]} users, layout expects {layout.n_users}")
 
@@ -478,7 +487,10 @@ def zf_beamformers(layout: StreamLayout, H, P_T, N0) -> ZfResult:
     rows of every other stream's intended receivers; when that null
     space is empty the stream falls back to regularized inversion with
     ridge N0 * n_streams / P_T.  Streams get equal power P_T / n_streams.
+    Raises SolverError when a stream's group has no channel gain along its
+    direction (an all-zero channel, say), which leaves nothing to normalize.
     """
+    require_finite(H)
     nU, nS = layout.n_users, layout.n_streams
     G, L = H.shape[1], H.shape[2]
 
@@ -519,7 +531,11 @@ def zf_beamformers(layout: StreamLayout, H, P_T, N0) -> ZfResult:
         if used_fallback:
             w = np.linalg.solve(A_reg, d)
         fallback.append(used_fallback)
-        W[s] = w * np.sqrt(per_stream) / np.linalg.norm(w)
+        norm = np.linalg.norm(w)
+        if not norm > 0:
+            raise SolverError(f"zero-forcing stream {s} has no transmit direction: "
+                              f"its group's channel has no gain along it")
+        W[s] = w * np.sqrt(per_stream) / norm
 
     return ZfResult(W=W, mf_receivers=mf, fallback=tuple(fallback))
 

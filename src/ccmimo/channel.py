@@ -19,6 +19,12 @@ def derive_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
 
 
+def require_finite(H):
+    """Raise InputError unless every entry of the channel matrices is finite."""
+    if not np.all(np.isfinite(H)):
+        raise InputError("channel matrices must be finite, found NaN or inf")
+
+
 @dataclass(frozen=True, eq=False)
 class ChannelSet:
     """One channel realization: a G x L complex matrix per user."""

@@ -53,16 +53,32 @@ class RunConfig:
 
 
 _NETWORK_FIELDS = ("K", "L", "G", "N", "M")
-_GETTERS = {"int": "getint", "float": "getfloat", "str": "get"}  # by field annotation
+_KINDS = {"int": int, "float": float, "str": str}  # by field annotation
 # SolverOptions fields each command sets itself (seeds per transmission,
 # tracing per command), so a run file may not hold them
 _PER_CALL = ("init_seed", "keep_trace")
 
 
+def _parse(where: str, raw: str, kind):
+    """``raw`` converted by ``kind``; a value that does not parse is a
+    ConfigError naming the ``section.key`` it came from."""
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"{where} = {raw!r} is not a valid {kind.__name__}") from None
+
+
+def _get(section, key: str, kind, fallback=None):
+    """section[key] parsed by ``kind``, or ``fallback`` when the key is absent."""
+    if key not in section:
+        return fallback
+    return _parse(f"{section.name}.{key}", section[key], kind)
+
+
 def _read_fields(section, cls) -> dict:
     """The fields of dataclass ``cls`` present in an INI section, each parsed
     by its annotated type."""
-    return {f.name: getattr(section, _GETTERS[f.type])(f.name)
+    return {f.name: _get(section, f.name, _KINDS[f.type])
             for f in fields(cls) if f.name in section}
 
 
@@ -78,10 +94,10 @@ def load_run_config(path: str) -> RunConfig:
             raise ConfigError(f"config is missing mandatory field network.{name}")
     rc = RunConfig(network=NetworkConfig(**_read_fields(net, NetworkConfig)))
 
-    plan = cp["plan"] if "plan" in cp else {}
-    for name in ("omega", "beta", "q"):
-        if name in plan and str(plan[name]).strip():
-            setattr(rc, name, int(plan[name]))
+    if "plan" in cp:
+        for name in ("omega", "beta", "q"):
+            if cp["plan"].get(name, "").strip():
+                setattr(rc, name, _get(cp["plan"], name, int))
 
     if "solver" in cp:
         known = [f.name for f in fields(SolverOptions) if f.name not in _PER_CALL]
@@ -93,17 +109,18 @@ def load_run_config(path: str) -> RunConfig:
     if "sweep" in cp:
         sw = cp["sweep"]
         if "snr_db" in sw:
-            rc.snr_db = [float(x) for x in sw["snr_db"].replace(",", " ").split()]
-        rc.realizations = sw.getint("realizations", fallback=rc.realizations)
+            rc.snr_db = [_parse("sweep.snr_db", x, float)
+                         for x in sw["snr_db"].replace(",", " ").split()]
+        rc.realizations = _get(sw, "realizations", int, rc.realizations)
         if "schemes" in sw:
             rc.schemes = [s.strip() for s in sw["schemes"].split(",") if s.strip()]
-        rc.seed = sw.getint("seed", fallback=rc.seed)
-        if "subset_sample" in sw and str(sw["subset_sample"]).strip():
-            rc.subset_sample = sw.getint("subset_sample")
-        rc.oracle_restarts = sw.getint("oracle_restarts", fallback=rc.oracle_restarts)
+        rc.seed = _get(sw, "seed", int, rc.seed)
+        if sw.get("subset_sample", "").strip():
+            rc.subset_sample = _get(sw, "subset_sample", int)
+        rc.oracle_restarts = _get(sw, "oracle_restarts", int, rc.oracle_restarts)
 
     if "verify" in cp:
-        rc.desk_scale_cap = cp["verify"].getint("desk_scale_cap", fallback=8)
+        rc.desk_scale_cap = _get(cp["verify"], "desk_scale_cap", int, 8)
     if "output" in cp:
         rc.out_dir = cp["output"].get("out_dir", fallback=rc.out_dir)
     return rc

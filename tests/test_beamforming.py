@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ccmimo import (ConfigError, NetworkConfig, SolverOptions, StreamLayout,
-                    lmmse_receivers, mse, optimize, plan_transmissions,
+from ccmimo import (ConfigError, InputError, NetworkConfig, SolverError, SolverOptions,
+                    StreamLayout, lmmse_receivers, mse, optimize, plan_transmissions,
                     rate_objective, sinr, zf_beamformers, zf_leakage)
 from ccmimo.beamforming import (closed_form_mu, layout_for_subset,
                                 solve_tx_with_power, tx_power, update_duals,
@@ -351,3 +351,24 @@ def test_zf_fallback_flagged_when_overloaded():
     res = zf_beamformers(lay, H, 6.0, 1.0)
     assert all(res.fallback)
     assert tx_power(res.W) == pytest.approx(6.0)
+
+
+# ---------------------------------------------------------------------------
+# degenerate channels
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_channel_is_input_error(bad):
+    rng = np.random.default_rng(12)
+    lay, H, _ = random_instance(rng, 2, 2, 2, ((0, 1),), 2)
+    H[1, 0, 1] = bad
+    with pytest.raises(InputError, match="finite"):
+        optimize(lay, H, 10.0, 1.0, options=SolverOptions(n_restarts=2))
+    with pytest.raises(InputError, match="finite"):
+        zf_beamformers(lay, H, 10.0, 1.0)
+
+
+def test_zf_zero_channel_is_solver_error():
+    lay = StreamLayout(users=(0, 1), groups=((0,), (1,)), q=1)
+    with pytest.raises(SolverError, match="no transmit direction"):
+        zf_beamformers(lay, np.zeros((2, 2, 3), dtype=complex), 4.0, 1.0)

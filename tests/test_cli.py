@@ -159,6 +159,23 @@ def test_unknown_solver_key_exit_code(ini, capsys):
         assert f"solver.{line.split()[0]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, bad", [
+    ("K = 4", "K = 2.5"),
+    ("omega = 3", "omega = three"),
+    ("max_outer = 15", "max_outer = x"),
+    ("realizations = 2", "realizations = 2.0"),
+    ("snr_db = 5,10", "snr_db = 5,ten"),
+])
+def test_unparsable_value_exit_code(ini, capsys, line, bad):
+    text = open(ini).read()
+    assert line in text
+    with open(ini, "w") as fh:
+        fh.write(text.replace(line, bad))
+    assert main(["plan", "--config", ini]) == EXIT_CONFIG
+    section = text[:text.index(line)].rsplit("[", 1)[1].split("]")[0]
+    assert f"{section}.{bad.split()[0]} = " in capsys.readouterr().err
+
+
 def test_sweep_outputs(ini, tmp_path, capsys):
     assert main(["sweep", "--config", ini, "--workers", "1"]) == EXIT_OK
     csv_path = tmp_path / "out" / "sweep.csv"
