@@ -10,6 +10,7 @@ zero-forcing baseline.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -22,6 +23,17 @@ from .errors import ConfigError, SolverError
 LN2 = math.log(2.0)
 MU_FLOOR = 1e-12
 EPS_FLOOR = 1e-30
+
+
+def _typed_linalg(fn):
+    """``fn`` with numpy's LinAlgError re-raised as a SolverError."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except np.linalg.LinAlgError as err:
+            raise SolverError(f"linear algebra failed in {fn.__name__}: {err}") from err
+    return wrapper
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +79,7 @@ def layout_for_subset(plan, i: int) -> StreamLayout:
 # Receivers, SINR, MSE
 # ---------------------------------------------------------------------------
 
+@_typed_linalg
 def lmmse_receivers(W, H, N0, member=None):
     """MMSE receive vectors for every (user, stream) pair.
 
@@ -152,23 +165,22 @@ def tx_power(W) -> float:
     return float(np.sum(np.abs(W) ** 2))
 
 
-def solve_tx_with_power(U, lam, H, P_T, mode="closed_form"):
+@_typed_linalg
+def solve_tx_with_power(U, lam, H, P_T):
     """Transmit update with the multiplier chosen to respect the power budget.
 
-    closed_form: multiplier from the dual identity, refined by bisection
-    whenever the resulting power overshoots the budget.  bisection:
-    direct search for the multiplier putting total power at P_T (within
-    1e-6 relative).  Returns (W, mu, power, stationarity residual).
+    The multiplier comes from the dual identity (closed_form_mu); when the
+    resulting power overshoots the budget, bisection finds the multiplier
+    putting total power at P_T (within 1e-6 relative) instead.  Returns
+    (W, mu, power, stationarity residual).
     """
-    if mode not in ("closed_form", "bisection"):
-        raise ConfigError(f"unknown mu mode {mode!r}")
     B = np.einsum("ugl,usg->usl", H.conj(), U)
     A = np.einsum("us,usl,usm->lm", lam, B, B.conj())
     rhs = np.einsum("us,usl->sl", lam, B)  # (nS, L)
     rhs_norm = np.linalg.norm(rhs, axis=1)
+    mu = max(closed_form_mu(lam, U, P_T), MU_FLOOR)
 
     if not np.any(rhs_norm > 0):
-        mu = max(closed_form_mu(lam, U, P_T), MU_FLOOR)
         return np.zeros_like(rhs), mu, 0.0, 0.0
 
     evals, Q = np.linalg.eigh(A)
@@ -176,17 +188,14 @@ def solve_tx_with_power(U, lam, H, P_T, mode="closed_form"):
     Rt = Q.conj().T @ rhs.T  # (L, nS)
     R2 = np.abs(Rt) ** 2
 
-    def w_of(mu):
-        return (Q @ (Rt / (evals + mu)[:, None])).T
-
     def power_of(mu):
         return float(np.sum(R2 / (evals + mu)[:, None] ** 2))
 
-    def bisect():
-        lo = MU_FLOOR
-        if power_of(lo) <= P_T:
-            return lo
-        hi = max(1.0, 2 * lo)
+    power = power_of(mu)
+    if power > P_T * (1 + 1e-6):
+        # bisection on [MU_FLOOR, hi]; power is non-increasing in mu, so
+        # power_of(MU_FLOOR) > P_T as well
+        lo, hi = MU_FLOOR, 1.0
         for _ in range(200):
             if power_of(hi) <= P_T:
                 break
@@ -194,32 +203,21 @@ def solve_tx_with_power(U, lam, H, P_T, mode="closed_form"):
         else:
             raise SolverError(f"power bisection bracket failed: power({hi}) > {P_T}")
         for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            p = power_of(mid)
+            mu = 0.5 * (lo + hi)
+            power = power_of(mu)
             # half the documented 1e-6 relative window, so the power budget
             # invariant holds strictly even after float rounding
-            if abs(p - P_T) <= 5e-7 * P_T:
-                return mid
-            if p > P_T:
-                lo = mid
-            else:
-                hi = mid
-        raise SolverError(
-            f"power bisection did not converge: bracket [{lo}, {hi}], "
-            f"power {power_of(0.5 * (lo + hi))}, target {P_T}"
-        )
+            if abs(power - P_T) <= 5e-7 * P_T:
+                break
+            lo, hi = (mu, hi) if power > P_T else (lo, mu)
+        else:
+            raise SolverError(f"power bisection did not converge: bracket [{lo}, {hi}], "
+                              f"power {power}, target {P_T}")
 
-    if mode == "bisection":
-        mu = bisect()
-    else:
-        mu = max(closed_form_mu(lam, U, P_T), MU_FLOOR)
-        if power_of(mu) > P_T * (1 + 1e-6):
-            mu = bisect()
-
-    W = w_of(mu)
+    W = (Q @ (Rt / (evals + mu)[:, None])).T
     resid = np.linalg.norm(W @ (A + mu * np.eye(A.shape[0])).T - rhs, axis=1)
     rel = float(np.max(resid[rhs_norm > 0] / rhs_norm[rhs_norm > 0]))
-    return W, mu, power_of(mu), rel
+    return W, mu, power, rel
 
 
 def update_rates(v, eps, layout):
@@ -298,15 +296,12 @@ class SolverOptions:
     """Knobs of the alternating solver; defaults suit desk-scale scenarios."""
 
     max_outer: int = 30
-    mu_mode: str = "closed_form"  # or "bisection"
     gradient: str = "common_rate"  # or "per_user"
     n_restarts: int = 1
     init_seed: int = 0
     keep_trace: bool = True
 
     def __post_init__(self):
-        if self.mu_mode not in ("closed_form", "bisection"):
-            raise ConfigError(f"mu_mode must be closed_form or bisection, got {self.mu_mode!r}")
         if self.gradient not in ("common_rate", "per_user"):
             raise ConfigError(f"gradient must be common_rate or per_user, got {self.gradient!r}")
 
@@ -324,6 +319,7 @@ class BeamformerState:
     trace: list = field(repr=False, default_factory=list)
 
 
+@_typed_linalg
 def _group_directions(layout: StreamLayout, H):
     """Unit direction per stream: substream j of a group along the j-th right
     singular vector of the group's stacked channel (the last one reused)."""
@@ -383,7 +379,7 @@ def _optimize_single(layout, H, P_T, N0, opt, init_seed, W0=None):
         inner_prev = None
         for inner in range(1, MAX_INNER + 1):
             lam_eff = lam * (z * nU)[:, None]
-            W_it, mu, power, resid = solve_tx_with_power(U, lam_eff, H, P_T, mode=opt.mu_mode)
+            W_it, mu, power, resid = solve_tx_with_power(U, lam_eff, H, P_T)
             check_finite("transmit vectors", W_it)
             diag["stationarity"] = max(diag["stationarity"], resid)
             diag["power_overrun"] = max(diag["power_overrun"], (power - P_T) / P_T)
@@ -453,7 +449,7 @@ def optimize(layout: StreamLayout, H, P_T, N0, options: SolverOptions | None = N
         # the nulling start matters at high SNR where interference dominates
         if r == 0:
             W0 = group_svd_init(layout, H, P_T)
-        elif r == 1 and opt.n_restarts > 1:
+        elif r == 1:
             W0 = zf_beamformers(layout, H, P_T, N0).W
         else:
             W0 = None
@@ -479,6 +475,7 @@ class ZfResult:
     fallback: tuple[bool, ...]  # streams that fell back to regularized inversion
 
 
+@_typed_linalg
 def zf_beamformers(layout: StreamLayout, H, P_T, N0) -> ZfResult:
     """One-shot nulling baseline: matched-filter receivers along the group-SVD
     directions, then per-stream null-space transmit vectors.
@@ -527,10 +524,9 @@ def zf_beamformers(layout: StreamLayout, H, P_T, N0) -> ZfResult:
                     w = None
         else:
             w = d.astype(complex)
-        used_fallback = w is None
-        if used_fallback:
+        fallback.append(w is None)
+        if w is None:
             w = np.linalg.solve(A_reg, d)
-        fallback.append(used_fallback)
         norm = np.linalg.norm(w)
         if not norm > 0:
             raise SolverError(f"zero-forcing stream {s} has no transmit direction: "
@@ -546,14 +542,8 @@ def zf_leakage(result: ZfResult, layout: StreamLayout, H) -> float | None:
     Only pairs actually nulled (streams built from a non-empty null
     space) are counted; returns None when every stream fell back.
     """
-    worst = None
-    for s in range(layout.n_streams):
-        if result.fallback[s]:
-            continue
-        for s2 in range(layout.n_streams):
-            if s2 == s:
-                continue
-            for u in layout.groups[layout.stream_group[s2]]:
-                leak = abs(result.mf_receivers[u, s2].conj() @ H[u] @ result.W[s]) ** 2
-                worst = leak if worst is None else max(worst, leak)
-    return worst
+    leaks = [abs(result.mf_receivers[u, s2].conj() @ H[u] @ result.W[s]) ** 2
+             for s in range(layout.n_streams) if not result.fallback[s]
+             for s2 in range(layout.n_streams) if s2 != s
+             for u in layout.groups[layout.stream_group[s2]]]
+    return max(leaks, default=None)

@@ -33,10 +33,6 @@ class ChannelSet:
     realization: int
     H: np.ndarray  # (K, G, L) complex128
 
-    @property
-    def K(self) -> int:
-        return self.H.shape[0]
-
 
 def sample_channels(seed: int, realization: int, K: int, G: int, L: int) -> ChannelSet:
     """Draw a fresh realization of zero-mean unit-variance complex Gaussian channels."""

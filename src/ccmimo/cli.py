@@ -13,7 +13,7 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -57,6 +57,15 @@ _KINDS = {"int": int, "float": float, "str": str}  # by field annotation
 # SolverOptions fields each command sets itself (seeds per transmission,
 # tracing per command), so a run file may not hold them
 _PER_CALL = ("init_seed", "keep_trace")
+# every key a run file may hold, by section
+_SECTION_KEYS = {
+    "network": [f.name for f in fields(NetworkConfig)],
+    "plan": ["omega", "beta", "q"],
+    "solver": [f.name for f in fields(SolverOptions) if f.name not in _PER_CALL],
+    "sweep": ["snr_db", "realizations", "schemes", "seed", "subset_sample", "oracle_restarts"],
+    "verify": ["desk_scale_cap"],
+    "output": ["out_dir"],
+}
 
 
 def _parse(where: str, raw: str, kind):
@@ -82,10 +91,23 @@ def _read_fields(section, cls) -> dict:
             for f in fields(cls) if f.name in section}
 
 
+def _check_keys(cp):
+    """ConfigError on a section or key a run file may not hold."""
+    for name in cp.sections():
+        known = _SECTION_KEYS.get(name)
+        if known is None:
+            raise ConfigError(f"unknown section [{name}]; expected one of "
+                              f"{', '.join(_SECTION_KEYS)}")
+        for key in cp[name]:
+            if key not in map(cp.optionxform, known):
+                raise ConfigError(f"unknown key {name}.{key}; expected one of {', '.join(known)}")
+
+
 def load_run_config(path: str) -> RunConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     if not cp.read(path):
         raise ConfigError(f"cannot read config file {path}")
+    _check_keys(cp)
     if "network" not in cp:
         raise ConfigError("config is missing the [network] section")
     net = cp["network"]
@@ -95,15 +117,11 @@ def load_run_config(path: str) -> RunConfig:
     rc = RunConfig(network=NetworkConfig(**_read_fields(net, NetworkConfig)))
 
     if "plan" in cp:
-        for name in ("omega", "beta", "q"):
+        for name in _SECTION_KEYS["plan"]:
             if cp["plan"].get(name, "").strip():
                 setattr(rc, name, _get(cp["plan"], name, int))
 
     if "solver" in cp:
-        known = [f.name for f in fields(SolverOptions) if f.name not in _PER_CALL]
-        for key in cp["solver"]:
-            if key not in known:
-                raise ConfigError(f"unknown key solver.{key}; expected one of {', '.join(known)}")
         rc.solver = SolverOptions(**_read_fields(cp["solver"], SolverOptions))
 
     if "sweep" in cp:
@@ -120,7 +138,7 @@ def load_run_config(path: str) -> RunConfig:
         rc.oracle_restarts = _get(sw, "oracle_restarts", int, rc.oracle_restarts)
 
     if "verify" in cp:
-        rc.desk_scale_cap = _get(cp["verify"], "desk_scale_cap", int, 8)
+        rc.desk_scale_cap = _get(cp["verify"], "desk_scale_cap", int, rc.desk_scale_cap)
     if "output" in cp:
         rc.out_dir = cp["output"].get("out_dir", fallback=rc.out_dir)
     return rc
@@ -128,21 +146,10 @@ def load_run_config(path: str) -> RunConfig:
 
 def save_run_config(rc: RunConfig, path: str):
     cp = configparser.ConfigParser()
-    cp["network"] = asdict(rc.network)
-    cp["plan"] = {k: v for k, v in (("omega", rc.omega), ("beta", rc.beta), ("q", rc.q))
-                  if v is not None}
-    cp["solver"] = {k: v for k, v in asdict(rc.solver).items() if k not in _PER_CALL}
-    cp["sweep"] = {
-        "snr_db": ",".join(f"{s:g}" for s in rc.snr_db),
-        "realizations": rc.realizations,
-        "schemes": ",".join(rc.schemes),
-        "seed": rc.seed,
-        "oracle_restarts": rc.oracle_restarts,
-    }
-    if rc.subset_sample is not None:
-        cp["sweep"]["subset_sample"] = str(rc.subset_sample)
-    cp["verify"] = {"desk_scale_cap": rc.desk_scale_cap}
-    cp["output"] = {"out_dir": rc.out_dir}
+    for section, keys in _SECTION_KEYS.items():
+        source = {"network": rc.network, "solver": rc.solver}.get(section, rc)
+        cp[section] = {k: ",".join(map(str, v)) if isinstance(v, list) else v
+                       for k in keys if (v := getattr(source, k)) is not None}
     with open(path, "w") as fh:
         cp.write(fh)
 

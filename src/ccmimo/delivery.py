@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 from typing import Mapping, Sequence
 
@@ -75,8 +76,12 @@ class PlacementMap:
     def cached_bytes(self, user: int) -> int:
         return sum(len(self.subfiles[key]) for key in self.cache_of(user))
 
+    @cached_property
+    def _subset_pos(self) -> dict:
+        return {P: j for j, P in enumerate(self.subsets)}
+
     def subset_index(self, P: tuple[int, ...]) -> int:
-        return self.subsets.index(tuple(sorted(P)))
+        return self._subset_pos[tuple(sorted(P))]
 
 
 def build_placement(config: NetworkConfig, library: Sequence[bytes]) -> PlacementMap:

@@ -145,22 +145,22 @@ def test_criterion_4_oracle_equivalence(capsys):
 # ---------------------------------------------------------------------------
 
 def test_criterion_5_solver_invariants(capsys):
-    # extra instances across layouts and both multiplier modes
+    # extra instances across layouts
     rng = np.random.default_rng(55)
     cases = [
-        ((0, 1), ((0, 1),), 2, "closed_form", 2, 2),
-        ((0, 1, 2), ((0, 1), (0, 2), (1, 2)), 1, "closed_form", 2, 3),
-        ((0, 1), ((0,), (1,)), 1, "bisection", 2, 3),
-        ((0, 1, 2), ((0, 1, 2),), 2, "bisection", 3, 4),
+        ((0, 1), ((0, 1),), 2, 2, 2),
+        ((0, 1, 2), ((0, 1), (0, 2), (1, 2)), 1, 2, 3),
+        ((0, 1), ((0,), (1,)), 1, 2, 3),
+        ((0, 1, 2), ((0, 1, 2),), 2, 3, 4),
     ]
-    for idx, (users, groups, q, mode, G, L) in enumerate(cases):
+    for idx, (users, groups, q, G, L) in enumerate(cases):
         nU = len(users)
         H = (rng.standard_normal((nU, G, L)) + 1j * rng.standard_normal((nU, G, L)))
         H *= np.sqrt(0.5)
         lay = StreamLayout(users=users, groups=groups, q=q)
         P_T = float(10.0 ** rng.uniform(0, 3))
         st = optimize(lay, H, P_T, 1.0,
-                      options=SolverOptions(init_seed=idx, mu_mode=mode, n_restarts=2))
+                      options=SolverOptions(init_seed=idx, n_restarts=2))
         record_diag(st.diagnostics, st.power, P_T)
 
     assert SOLVER_DIAGS, "solver runs from earlier criteria must be recorded"

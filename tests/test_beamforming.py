@@ -6,10 +6,11 @@ import pytest
 from ccmimo import (ConfigError, InputError, NetworkConfig, SolverError, SolverOptions,
                     StreamLayout, lmmse_receivers, mse, optimize, plan_transmissions,
                     rate_objective, sinr, zf_beamformers, zf_leakage)
-from ccmimo.beamforming import (closed_form_mu, layout_for_subset,
+from ccmimo.beamforming import (MU_FLOOR, closed_form_mu, layout_for_subset,
                                 solve_tx_with_power, tx_power, update_duals,
                                 update_rates)
 from ccmimo.channel import sample_channels
+from ccmimo.evaluate import run_scheme
 
 LN2 = math.log(2.0)
 
@@ -155,7 +156,10 @@ def test_bisection_meets_power_budget():
     U = lmmse_receivers(W, H, 1.0, lay.member)
     lam = np.where(lay.member, 1.0, 0.0)
     P_T = 5.0
-    W2, mu, power, resid = solve_tx_with_power(U, lam, H, P_T, mode="bisection")
+    W2, mu, power, resid = solve_tx_with_power(U, lam, H, P_T)
+    # at this budget the closed-form multiplier would put power above P_T,
+    # so the update searched for the multiplier meeting the budget instead
+    assert mu != max(closed_form_mu(lam, U, P_T), MU_FLOOR)
     assert abs(power - P_T) <= 1e-6 * P_T
     assert power == pytest.approx(tx_power(W2), rel=1e-9)
     assert resid < 1e-10
@@ -168,7 +172,7 @@ def test_closed_form_power_never_exceeds_budget():
         lay, H, W = random_instance(rng, 2, 2, 2, ((0, 1),), 2)
         U = lmmse_receivers(W, H, 1.0, lay.member)
         lam = np.where(lay.member, rng.uniform(0.1, 2.0, lay.member.shape), 0.0)
-        W2, mu, power, resid = solve_tx_with_power(U, lam, H, 3.0, mode="closed_form")
+        W2, mu, power, resid = solve_tx_with_power(U, lam, H, 3.0)
         assert power <= 3.0 * (1 + 1e-6)
         assert resid < 1e-8
 
@@ -252,17 +256,17 @@ def test_point_to_point_capacity():
 def test_solver_invariants_random_instances():
     rng = np.random.default_rng(7)
     cases = [
-        (2, 2, 2, ((0, 1),), 2, "closed_form"),
-        (3, 2, 3, ((0, 1), (0, 2), (1, 2)), 1, "closed_form"),
-        (2, 2, 3, ((0,), (1,)), 1, "bisection"),
-        (3, 3, 4, ((0, 1, 2),), 2, "bisection"),
+        (2, 2, 2, ((0, 1),), 2),
+        (3, 2, 3, ((0, 1), (0, 2), (1, 2)), 1),
+        (2, 2, 3, ((0,), (1,)), 1),
+        (3, 3, 4, ((0, 1, 2),), 2),
     ]
-    for idx, (nU, G, L, groups, q, mode) in enumerate(cases):
+    for idx, (nU, G, L, groups, q) in enumerate(cases):
         H = (rng.standard_normal((nU, G, L)) + 1j * rng.standard_normal((nU, G, L))) * np.sqrt(0.5)
         lay = StreamLayout(users=tuple(range(nU)), groups=groups, q=q)
         P_T = 10.0 ** rng.uniform(0, 3)
         st = optimize(lay, H, P_T, 1.0,
-                      options=SolverOptions(init_seed=idx, mu_mode=mode, n_restarts=2))
+                      options=SolverOptions(init_seed=idx, n_restarts=2))
         d = st.diagnostics
         assert st.power <= P_T * (1 + 1e-6)
         assert d["power_overrun"] <= 1e-6
@@ -372,3 +376,15 @@ def test_zf_zero_channel_is_solver_error():
     lay = StreamLayout(users=(0, 1), groups=((0,), (1,)), q=1)
     with pytest.raises(SolverError, match="no transmit direction"):
         zf_beamformers(lay, np.zeros((2, 2, 3), dtype=complex), 4.0, 1.0)
+
+
+def test_singular_receiver_covariance_is_solver_error():
+    # both receive antennas see the same channel, and at 200 dB the noise
+    # term vanishes next to the signal: every receiver covariance is singular
+    lay = StreamLayout(users=(0, 1), groups=((0, 1),), q=1)
+    H = sample_channels(3, 0, 2, 2, 2).H.copy()
+    H[:, 1] = H[:, 0]
+    with pytest.raises(SolverError, match="lmmse_receivers"):
+        optimize(lay, H, 1e20, 1.0)
+    with pytest.raises(SolverError, match="lmmse_receivers"):
+        run_scheme("zf", lay, H, 1e20, 1.0, SolverOptions(), 0, 1)

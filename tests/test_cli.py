@@ -152,11 +152,49 @@ def test_simulate_oracle_scheme_runs_oracle(ini, monkeypatch, capsys):
 
 def test_unknown_solver_key_exit_code(ini, capsys):
     text = open(ini).read()
-    for line in ("max_innr = 7", "user_weights = uniform", "step_size = 0.2", "init_seed = 3"):
+    for line in ("max_innr = 7", "user_weights = uniform", "step_size = 0.2", "init_seed = 3",
+                 "mu_mode = closed_form"):
         with open(ini, "w") as fh:
             fh.write(text.replace("n_restarts = 1", "n_restarts = 1\n" + line))
         assert main(["plan", "--config", ini]) == EXIT_CONFIG
         assert f"solver.{line.split()[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("after, line, where", [
+    ("N0 = 1.0", "KK = 4", "network.kk"),
+    ("omega = 3", "omgea = 3", "plan.omgea"),
+    ("seed = 1", "realisations = 3", "sweep.realisations"),
+    ("seed = 1", "\n[verify]\ndesk_scale_caps = 4", "verify.desk_scale_caps"),
+    ("out_dir = {out}", "outdir = x", "output.outdir"),
+    ("seed = 1", "\n[sweeps]\nseed = 2", "[sweeps]"),
+])
+def test_unknown_key_in_any_section_exit_code(tmp_path, capsys, after, line, where):
+    path = tmp_path / "run.ini"
+    path.write_text(BASE_INI.replace(after, after + "\n" + line).format(out=tmp_path / "out"))
+    assert main(["plan", "--config", str(path)]) == EXIT_CONFIG
+    assert where in capsys.readouterr().err
+
+
+def test_readme_run_config_loads(tmp_path):
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "run.ini"
+    path.write_text(block)
+    rc = load_run_config(str(path))
+    assert rc.network.K == 4 and rc.realizations == 20 and rc.desk_scale_cap == 8
+
+
+def test_simulate_singular_channel_exits_solver_error(ini, monkeypatch, capsys):
+    real = ccmimo.cli.sample_channels
+
+    def rank_one(*args):
+        cs = real(*args)
+        cs.H[:, 1] = cs.H[:, 0]  # both receive antennas see the same channel
+        return cs
+
+    monkeypatch.setattr(ccmimo.cli, "sample_channels", rank_one)
+    assert main(["simulate", "--config", ini, "--snr", "200"]) == EXIT_SOLVER
+    assert "Singular matrix" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line, bad", [

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import ccmimo
 from ccmimo import (InputError, NetworkConfig, SolverOptions, fitted_stream_count,
                     monte_carlo_sweep, plan_transmissions, rate_objective,
                     symmetric_rate)
@@ -126,3 +127,21 @@ def test_sweep_parallel_matches_serial():
     a = small_sweep(workers=1)
     b = small_sweep(workers=2)
     assert a.to_csv() == b.to_csv()
+
+
+def test_sweep_counts_singular_receivers_as_failed(monkeypatch):
+    real = ccmimo.evaluate.sample_channels
+
+    def rank_one_first_draw(seed, realization, K, G, L):
+        cs = real(seed, realization, K, G, L)
+        if realization == 0:  # both receive antennas see the same channel
+            cs.H[:, 1] = cs.H[:, 0]
+        return cs
+
+    monkeypatch.setattr(ccmimo.evaluate, "sample_channels", rank_one_first_draw)
+    cfg = NetworkConfig(K=4, L=3, G=2, N=4, M=1)
+    plan = plan_transmissions(cfg, 3, 2, 1)
+    rep = monte_carlo_sweep(cfg, plan, ["kkt_lmmse", "zf"], [200.0], 3, seed=1,
+                            options=SolverOptions(max_outer=5))
+    assert [(p.n_ok, p.n_failed) for p in rep.points] == [(2, 1), (2, 1)]
+    assert all(p.mean_rsym > 0 for p in rep.points)
