@@ -238,11 +238,21 @@ def cmd_verify_delivery(rc: RunConfig, args) -> int:
     return EXIT_OK
 
 
+def _single(args, flag: str, default):
+    """The one value given to --<flag>, or ``default`` when the flag is absent."""
+    values = getattr(args, flag)
+    if values is None:
+        return default
+    if len(values) != 1:
+        raise ConfigError(f"simulate takes exactly one --{flag} value, got {len(values)}")
+    return values[0]
+
+
 def cmd_simulate(rc: RunConfig, args) -> int:
     net = rc.network
     dp, plan = resolve_plan(rc)
-    scheme = args.scheme[0] if args.scheme else "kkt_lmmse"
-    snr = args.snr[0] if args.snr else net.snr_db
+    scheme = _single(args, "scheme", "kkt_lmmse")
+    snr = _single(args, "snr", net.snr_db)
     P_T = snr_to_power(snr, net.N0)
     cs = sample_channels(derive_seed(rc.seed, 0), 0, net.K, net.G, net.L)
     os.makedirs(rc.out_dir, exist_ok=True)
@@ -334,10 +344,10 @@ def _build_parser():
         sp.add_argument("--out", default=None, help="override output.out_dir")
         sp.add_argument("--workers", type=int, default=os.cpu_count() or 1)
         sp.add_argument("--snr", type=float, nargs="*", default=None,
-                        help="override sweep.snr_db (dB)")
+                        help="override sweep.snr_db (dB); simulate takes one value")
         sp.add_argument("--realizations", type=int, default=None)
         sp.add_argument("--scheme", nargs="*", default=None,
-                        help="override sweep.schemes")
+                        help="override sweep.schemes; simulate takes one scheme")
 
     for name, fn, doc in (
         ("plan", cmd_plan, "print the stream-planner table and chosen delivery plan"),

@@ -13,11 +13,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import comb
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .config import NetworkConfig
 from .errors import ConfigError, DeliveryError, InputError, PlanError
@@ -36,14 +33,10 @@ def subpacketization(K: int, t: int, omega: int) -> int:
     return comb(K, t) * comb(K - t - 1, omega - t - 1)
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    return (np.frombuffer(a, np.uint8) ^ np.frombuffer(b, np.uint8)).tobytes()
-
-
-def _pad(payload: bytes, size: int) -> bytes:
-    if len(payload) > size:
-        raise ValueError("payload longer than padded size")
-    return payload + b"\x00" * (size - len(payload))
+def _t_subsets(config: NetworkConfig) -> tuple[tuple[int, ...], ...]:
+    """The t-subsets of users in lexicographic order; subfile j is tagged
+    with the j-th one."""
+    return tuple(itertools.combinations(range(config.K), config.t))
 
 
 # ---------------------------------------------------------------------------
@@ -76,13 +69,6 @@ class PlacementMap:
     def cached_bytes(self, user: int) -> int:
         return sum(len(self.subfiles[key]) for key in self.cache_of(user))
 
-    @cached_property
-    def _subset_pos(self) -> dict:
-        return {P: j for j, P in enumerate(self.subsets)}
-
-    def subset_index(self, P: tuple[int, ...]) -> int:
-        return self._subset_pos[tuple(sorted(P))]
-
 
 def build_placement(config: NetworkConfig, library: Sequence[bytes]) -> PlacementMap:
     """Split the library into subfiles and assign them to user caches.
@@ -99,12 +85,10 @@ def build_placement(config: NetworkConfig, library: Sequence[bytes]) -> Placemen
     if file_bytes == 0:
         raise InputError("library files must be non-empty")
 
-    K, t = config.K, config.t
-    n_subfiles = comb(K, t)
+    subsets = _t_subsets(config)
+    n_subfiles = len(subsets)
     subfile_bytes = -(-file_bytes // n_subfiles)  # ceil division
-    padded = [_pad(f, subfile_bytes * n_subfiles) for f in library]
-
-    subsets = tuple(itertools.combinations(range(K), t))
+    padded = [f.ljust(subfile_bytes * n_subfiles, b"\x00") for f in library]
     subfiles = {
         (n, j): padded[n][j * subfile_bytes : (j + 1) * subfile_bytes]
         for n in range(config.N)
@@ -121,11 +105,13 @@ def build_placement(config: NetworkConfig, library: Sequence[bytes]) -> Placemen
 class DeliveryPlan:
     """Serving subsets, multicast groups, and the subpacket schedule.
 
-    ``schedule[(i, T, k)]`` is the subpacket index of subfile W_{T\\{k}}
-    of user k's requested file carried by the group-T codeword of
-    transmission i.  Indices are assigned by a running counter per
-    (user, subfile subset) in plan order, so each demanded subpacket is
-    scheduled exactly once over the full plan.
+    ``schedule`` holds one entry ``(i, T, members)`` per codeword, in plan
+    order: the group-T codeword of transmission i carries, for each member
+    ``(k, j, sigma)``, subpacket sigma of subfile j (tagged with the
+    t-subset T\\{k}) of user k's requested file.  Members follow the order
+    of T.  Indices are assigned by a running counter per (user, subfile)
+    in plan order, so each demanded subpacket is scheduled exactly once
+    over the full plan.
     """
 
     config: NetworkConfig
@@ -134,7 +120,7 @@ class DeliveryPlan:
     q: int
     serving_subsets: tuple[tuple[int, ...], ...]
     groups: tuple[tuple[tuple[int, ...], ...], ...]  # per transmission
-    schedule: dict = field(repr=False)
+    schedule: tuple = field(repr=False)
 
     @property
     def n_transmissions(self) -> int:
@@ -149,16 +135,6 @@ class DeliveryPlan:
     @property
     def theta(self) -> int:
         return subpacketization(self.config.K, self.config.t, self.omega)
-
-    def slots_for_user(self, user: int):
-        """All (transmission, group, subfile subset, sigma) slots carrying data to a user."""
-        out = []
-        for i, groups_i in enumerate(self.groups):
-            for T in groups_i:
-                if user in T:
-                    P = tuple(u for u in T if u != user)
-                    out.append((i, T, P, self.schedule[(i, T, user)]))
-        return out
 
 
 def plan_transmissions(config: NetworkConfig, omega: int, beta: int, q: int) -> DeliveryPlan:
@@ -179,18 +155,21 @@ def plan_transmissions(config: NetworkConfig, omega: int, beta: int, q: int) -> 
     serving = tuple(itertools.combinations(range(K), omega))
     groups = tuple(tuple(itertools.combinations(S, t + 1)) for S in serving)
 
+    subfile_of = {P: j for j, P in enumerate(_t_subsets(config))}
     counter: dict = {}
-    schedule: dict = {}
+    schedule = []
     for i, groups_i in enumerate(groups):
         for T in groups_i:
-            for k in T:
-                P = tuple(u for u in T if u != k)
-                sigma = counter.get((k, P), 0)
-                counter[(k, P)] = sigma + 1
-                schedule[(i, T, k)] = sigma
+            members = []
+            for m, k in enumerate(T):
+                j = subfile_of[T[:m] + T[m + 1 :]]
+                sigma = counter.get((k, j), 0)
+                counter[(k, j)] = sigma + 1
+                members.append((k, j, sigma))
+            schedule.append((i, T, tuple(members)))
 
-    plan = DeliveryPlan(config, omega, beta, q, serving, groups, schedule)
-    # every (user, subset) pair must have been filled exactly n_subpackets times
+    plan = DeliveryPlan(config, omega, beta, q, serving, groups, tuple(schedule))
+    # every (user, subfile) pair must have been filled exactly n_subpackets times
     n_sp = plan.n_subpackets
     assert all(v == n_sp for v in counter.values())
     return plan
@@ -204,15 +183,14 @@ def plan_transmissions(config: NetworkConfig, omega: int, beta: int, q: int) -> 
 class CodewordSet:
     """XOR codewords of a full delivery round, one per (transmission, group).
 
-    Subfiles are padded to ``n_subpackets * subpacket_bytes`` so every
-    codeword has the same length and splits evenly into q substream
-    payloads of ``slice_bytes`` each.
+    Subpackets are sized so every subfile, zero-padded, splits into
+    ``n_subpackets`` of them, and every codeword splits evenly into q
+    substream payloads of ``slice_bytes`` each.
     """
 
     plan: DeliveryPlan
     requests: tuple[int, ...]
     subpacket_bytes: int
-    padded_subfile_bytes: int
     codewords: dict = field(repr=False)
 
     @property
@@ -238,37 +216,32 @@ def _normalize_requests(config: NetworkConfig, requests) -> tuple[int, ...]:
     return requests
 
 
-def _padded_subfile(placement: PlacementMap, n: int, j: int, padded_bytes: int) -> bytes:
-    return _pad(placement.subfiles[(n, j)], padded_bytes)
+def _subpacket(placement: PlacementMap, n: int, j: int, sigma: int, size: int) -> int:
+    """Subpacket sigma of subfile (n, j) as a little-endian integer.
+
+    The last subpackets of a subfile may run past its end; the short
+    slice reads as if zero-padded to ``size`` bytes.
+    """
+    return int.from_bytes(placement.subfiles[(n, j)][sigma * size : (sigma + 1) * size],
+                          "little")
 
 
 def build_codewords(plan: DeliveryPlan, requests, placement: PlacementMap) -> CodewordSet:
     """XOR together the scheduled subpackets of every multicast group."""
-    config = plan.config
-    reqs = _normalize_requests(config, requests)
-    n_sp, q = plan.n_subpackets, plan.q
-
-    # pad each subfile so it splits into n_sp subpackets of q slices each
-    unit = n_sp * q
-    padded_sf = unit * (-(-placement.subfile_bytes // unit))
-    sp_bytes = padded_sf // n_sp
+    reqs = _normalize_requests(plan.config, requests)
+    # smallest subpacket that covers a subfile in n_sp pieces of q equal slices
+    sp_bytes = plan.q * -(-placement.subfile_bytes // (plan.n_subpackets * plan.q))
 
     codewords = {}
-    for i, groups_i in enumerate(plan.groups):
-        for T in groups_i:
-            x = b"\x00" * sp_bytes
-            for k in T:
-                P = tuple(u for u in T if u != k)
-                j = placement.subset_index(P)
-                sigma = plan.schedule[(i, T, k)]
-                sf = _padded_subfile(placement, reqs[k], j, padded_sf)
-                x = _xor(x, sf[sigma * sp_bytes : (sigma + 1) * sp_bytes])
-            codewords[(i, T)] = x
-    return CodewordSet(plan, reqs, sp_bytes, padded_sf, codewords)
+    for i, T, members in plan.schedule:
+        x = 0
+        for k, j, sigma in members:
+            x ^= _subpacket(placement, reqs[k], j, sigma, sp_bytes)
+        codewords[(i, T)] = x.to_bytes(sp_bytes, "little")
+    return CodewordSet(plan, reqs, sp_bytes, codewords)
 
 
-def verify_decode(user: int, codewords: CodewordSet, placement: PlacementMap,
-                  requests=None) -> bytes:
+def verify_decode(user: int, codewords: CodewordSet, placement: PlacementMap) -> bytes:
     """Reconstruct a user's requested file from its codewords and cache.
 
     The user strips every cached subpacket out of each codeword addressed
@@ -278,28 +251,24 @@ def verify_decode(user: int, codewords: CodewordSet, placement: PlacementMap,
     codeword the schedule promises is absent.
     """
     plan = codewords.plan
-    config = plan.config
-    reqs = _normalize_requests(config, requests) if requests is not None else codewords.requests
-    want = reqs[user]
+    reqs = codewords.requests
     sp_bytes = codewords.subpacket_bytes
-    padded_sf = codewords.padded_subfile_bytes
 
     recovered: dict = {}
     missing = []
-    for i, T, P, sigma in plan.slots_for_user(user):
+    for i, T, members in plan.schedule:
+        if user not in T:
+            continue
+        _, mine, sigma = members[T.index(user)]
         x = codewords.codewords.get((i, T))
         if x is None:
-            missing.append((P, sigma))
+            missing.append((placement.subsets[mine], sigma))
             continue
-        for j_user in T:
-            if j_user == user:
-                continue
-            Pj = tuple(u for u in T if u != j_user)
-            idx = placement.subset_index(Pj)
-            sj = plan.schedule[(i, T, j_user)]
-            sf = _padded_subfile(placement, reqs[j_user], idx, padded_sf)
-            x = _xor(x, sf[sj * sp_bytes : (sj + 1) * sp_bytes])
-        recovered[(placement.subset_index(P), sigma)] = x
+        x = int.from_bytes(x, "little")
+        for k, j, s in members:
+            if k != user:
+                x ^= _subpacket(placement, reqs[k], j, s, sp_bytes)
+        recovered[(mine, sigma)] = x.to_bytes(sp_bytes, "little")
 
     if missing:
         raise DeliveryError(
@@ -311,7 +280,7 @@ def verify_decode(user: int, codewords: CodewordSet, placement: PlacementMap,
     n_sp = plan.n_subpackets
     for j, P in enumerate(placement.subsets):
         if user in P:
-            sf = placement.subfiles[(want, j)]
+            sf = placement.subfiles[(reqs[user], j)]
         else:
             sf = b"".join(recovered[(j, s)] for s in range(n_sp))[: placement.subfile_bytes]
         pieces.append(sf)
@@ -323,36 +292,28 @@ def verify_decode(user: int, codewords: CodewordSet, placement: PlacementMap,
 # ---------------------------------------------------------------------------
 
 def freshness_audit(plan: DeliveryPlan) -> dict:
-    """Count scheduled (user, subset, sigma) triples against the demand set.
+    """Count scheduled (user, subfile, sigma) triples against the demand set.
 
     Returns a dict with duplicate and missing counts; both are zero for
     any plan built by plan_transmissions.
     """
-    K, t = plan.config.K, plan.config.t
-    n_sp = plan.n_subpackets
-    seen: dict = {}
+    seen = set()
     dup = 0
-    for i, groups_i in enumerate(plan.groups):
-        for T in groups_i:
-            for k in T:
-                P = tuple(u for u in T if u != k)
-                key = (k, P, plan.schedule[(i, T, k)])
-                if key in seen:
-                    dup += 1
-                seen[key] = (i, T)
+    for _, _, members in plan.schedule:
+        for key in members:
+            dup += key in seen
+            seen.add(key)
     demand = {
-        (k, P, s)
-        for k in range(K)
-        for P in itertools.combinations(range(K), t)
+        (k, j, s)
+        for k in range(plan.config.K)
+        for j, P in enumerate(_t_subsets(plan.config))
         if k not in P
-        for s in range(n_sp)
+        for s in range(plan.n_subpackets)
     }
-    missing = demand - set(seen)
-    extra = set(seen) - demand
     return {
         "duplicates": dup,
-        "missing": len(missing),
-        "unexpected": len(extra),
+        "missing": len(demand - seen),
+        "unexpected": len(seen - demand),
         "scheduled": len(seen),
         "demanded": len(demand),
     }
@@ -362,22 +323,28 @@ def _fmt_subset(P) -> str:
     return ",".join(str(u) for u in P) if P else "-"
 
 
+def _transmissions(plan: DeliveryPlan):
+    """The schedule split by transmission: (i, 'transmission' header, entries)."""
+    for i, entries in itertools.groupby(plan.schedule, key=lambda e: e[0]):
+        yield i, f"transmission {i} subset={_fmt_subset(plan.serving_subsets[i])}", entries
+
+
 def dump_plan(plan: DeliveryPlan) -> str:
     """Plan as line-oriented text: one 'transmission' header per serving subset,
     then one 'slot' line per scheduled subpacket (user, source subset, index)."""
     c = plan.config
+    subsets = _t_subsets(c)
     lines = [
         f"plan K={c.K} N={c.N} t={c.t} omega={plan.omega} beta={plan.beta} "
         f"q={plan.q} subpackets={plan.n_subpackets} transmissions={plan.n_transmissions}"
     ]
-    for i, S in enumerate(plan.serving_subsets):
-        lines.append(f"transmission {i} subset={_fmt_subset(S)}")
-        for T in plan.groups[i]:
-            for k in T:
-                P = tuple(u for u in T if u != k)
+    for _, header, entries in _transmissions(plan):
+        lines.append(header)
+        for _, T, members in entries:
+            for k, j, sigma in members:
                 lines.append(
                     f"slot group={_fmt_subset(T)} user={k} "
-                    f"subset={_fmt_subset(P)} sigma={plan.schedule[(i, T, k)]}"
+                    f"subset={_fmt_subset(subsets[j])} sigma={sigma}"
                 )
     return "\n".join(lines) + "\n"
 
@@ -389,10 +356,10 @@ def dump_codewords(cw: CodewordSet) -> str:
         f"codewords requests={_fmt_subset(cw.requests)} "
         f"subpacket_bytes={cw.subpacket_bytes} q={plan.q}"
     ]
-    for i, S in enumerate(plan.serving_subsets):
-        lines.append(f"transmission {i} subset={_fmt_subset(S)}")
-        for T in plan.groups[i]:
-            sigmas = ",".join(str(plan.schedule[(i, T, k)]) for k in T)
+    for i, header, entries in _transmissions(plan):
+        lines.append(header)
+        for _, T, members in entries:
+            sigmas = ",".join(str(sigma) for _, _, sigma in members)
             lines.append(
                 f"codeword group={_fmt_subset(T)} sigmas={sigmas} "
                 f"payload={cw.codewords[(i, T)].hex()}"

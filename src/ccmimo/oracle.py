@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import require_finite
+from .errors import SolverError
 
 
 def rate_with_ideal_receivers(W, H, groups, q, N0):
@@ -26,7 +27,9 @@ def rate_with_ideal_receivers(W, H, groups, q, N0):
     W: (n_streams, L) transmit vectors, stream s carries substream s % q of
     group s // q, or a stack (B, n_streams, L) of such sets.  H: (n_users,
     G, L).  groups: tuples of local user indices.  Returns a float for one
-    set and a (B,) array for a stack.
+    set and a (B,) array for a stack.  A singular receiver covariance (a
+    rank-deficient channel with the noise term lost next to the signal) is
+    a SolverError.
     """
     if W.ndim == 2:
         return float(rate_with_ideal_receivers(W[None], H, groups, q, N0)[0])
@@ -39,7 +42,10 @@ def rate_with_ideal_receivers(W, H, groups, q, N0):
             continue
         heff = H[u] @ Wt  # (B, G, n_streams)
         B = heff @ heff.conj().swapaxes(-1, -2) + N0 * np.eye(G)
-        X = np.linalg.solve(B, heff)
+        try:
+            X = np.linalg.solve(B, heff)
+        except np.linalg.LinAlgError as err:
+            raise SolverError(f"linear algebra failed in rate_with_ideal_receivers: {err}") from err
         x = np.real(np.einsum("...gs,...gs->...s", heff.conj(), X))
         x = np.clip(x, 0.0, 1.0 - 1e-300)
         rates = -np.log2(1.0 - x)  # log2(1 + x/(1-x))

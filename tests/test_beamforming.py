@@ -388,3 +388,5 @@ def test_singular_receiver_covariance_is_solver_error():
         optimize(lay, H, 1e20, 1.0)
     with pytest.raises(SolverError, match="lmmse_receivers"):
         run_scheme("zf", lay, H, 1e20, 1.0, SolverOptions(), 0, 1)
+    with pytest.raises(SolverError, match="rate_with_ideal_receivers"):
+        run_scheme("oracle_smallscale", lay, H, 1e20, 1.0, SolverOptions(), 0, 1)

@@ -195,6 +195,22 @@ def test_simulate_singular_channel_exits_solver_error(ini, monkeypatch, capsys):
     monkeypatch.setattr(ccmimo.cli, "sample_channels", rank_one)
     assert main(["simulate", "--config", ini, "--snr", "200"]) == EXIT_SOLVER
     assert "Singular matrix" in capsys.readouterr().err
+    assert main(["simulate", "--config", ini, "--snr", "200",
+                 "--scheme", "oracle_smallscale"]) == EXIT_SOLVER
+    assert "rate_with_ideal_receivers: Singular matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--snr", "10", "30"],
+    ["--snr"],
+    ["--snr", "10", "--scheme", "zf", "kkt_lmmse"],
+    ["--snr", "10", "--scheme"],
+])
+def test_simulate_takes_one_snr_and_one_scheme(ini, capsys, flags):
+    assert main(["simulate", "--config", ini] + flags) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "exactly one" in captured.err
+    assert "symmetric_rate=" not in captured.out
 
 
 @pytest.mark.parametrize("line, bad", [

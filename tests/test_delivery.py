@@ -178,6 +178,53 @@ def test_plan_determinism():
     assert dump_plan(a) == dump_plan(b)
 
 
+PINNED_PLAN_K4 = """\
+plan K=4 N=4 t=1 omega=3 beta=2 q=1 subpackets=2 transmissions=4
+transmission 0 subset=0,1,2
+slot group=0,1 user=0 subset=1 sigma=0
+slot group=0,1 user=1 subset=0 sigma=0
+slot group=0,2 user=0 subset=2 sigma=0
+slot group=0,2 user=2 subset=0 sigma=0
+slot group=1,2 user=1 subset=2 sigma=0
+slot group=1,2 user=2 subset=1 sigma=0
+transmission 1 subset=0,1,3
+slot group=0,1 user=0 subset=1 sigma=1
+slot group=0,1 user=1 subset=0 sigma=1
+slot group=0,3 user=0 subset=3 sigma=0
+slot group=0,3 user=3 subset=0 sigma=0
+slot group=1,3 user=1 subset=3 sigma=0
+slot group=1,3 user=3 subset=1 sigma=0
+transmission 2 subset=0,2,3
+slot group=0,2 user=0 subset=2 sigma=1
+slot group=0,2 user=2 subset=0 sigma=1
+slot group=0,3 user=0 subset=3 sigma=1
+slot group=0,3 user=3 subset=0 sigma=1
+slot group=2,3 user=2 subset=3 sigma=0
+slot group=2,3 user=3 subset=2 sigma=0
+transmission 3 subset=1,2,3
+slot group=1,2 user=1 subset=2 sigma=1
+slot group=1,2 user=2 subset=1 sigma=1
+slot group=1,3 user=1 subset=3 sigma=1
+slot group=1,3 user=3 subset=1 sigma=1
+slot group=2,3 user=2 subset=3 sigma=1
+slot group=2,3 user=3 subset=2 sigma=1
+"""
+
+
+def test_schedule_order_pinned():
+    # the exact subpacket order, not just a valid one: a different sigma
+    # assignment would still pass the freshness and decode checks
+    cfg = NetworkConfig(K=4, L=3, G=2, N=4, M=1)
+    plan = plan_transmissions(cfg, 3, 2, 1)
+    assert dump_plan(plan) == PINNED_PLAN_K4
+    rng = np.random.default_rng(7)
+    pm = build_placement(cfg, random_library(rng, 4, 45))  # 12-byte subfiles, 3 padded
+    cw = build_codewords(plan, [2, 0, 3, 1], pm)
+    assert cw.subpacket_bytes == 6
+    # user 2 takes the padded tail of file 3's subfile 3, user 3 the tail of file 1's subfile 2
+    assert cw.codewords[(3, (2, 3))].hex() == "976ac7dc03d1"
+
+
 # ---------------------------------------------------------------------------
 # codewords
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import ccmimo
-from ccmimo import (InputError, NetworkConfig, SolverOptions, fitted_stream_count,
-                    monte_carlo_sweep, plan_transmissions, rate_objective,
-                    symmetric_rate)
+from ccmimo import (InputError, NetworkConfig, SolverError, SolverOptions,
+                    fitted_stream_count, monte_carlo_sweep, plan_transmissions,
+                    rate_objective, symmetric_rate)
 from ccmimo.beamforming import StreamLayout
-from ccmimo.evaluate import DB_PER_BIT
+from ccmimo.evaluate import DB_PER_BIT, run_scheme
 
 
 def test_transmission_rate_single_stream():
@@ -145,3 +145,43 @@ def test_sweep_counts_singular_receivers_as_failed(monkeypatch):
                             options=SolverOptions(max_outer=5))
     assert [(p.n_ok, p.n_failed) for p in rep.points] == [(2, 1), (2, 1)]
     assert all(p.mean_rsym > 0 for p in rep.points)
+
+
+def _stress_channel(kind, rng):
+    """A (3, 2, 3) channel: three users with two antennas, three transmit antennas."""
+    H = (rng.standard_normal((3, 2, 3)) + 1j * rng.standard_normal((3, 2, 3))) * np.sqrt(0.5)
+    if kind == "rank1":
+        H[:, 1] = H[:, 0]  # both receive antennas see the same channel
+    elif kind == "zero":
+        H[:] = 0.0
+    elif kind == "nan":
+        H[1, 0, 2] = np.nan
+    return H
+
+
+@pytest.mark.parametrize("scheme", ["kkt_lmmse", "zf", "oracle_smallscale"])
+def test_run_scheme_stress_only_typed_errors(scheme):
+    # seeded sweep over extreme SNRs and degenerate channels: a scheme either
+    # raises a typed error or returns a finite rate within the power budget
+    lay = StreamLayout(users=(0, 1, 2), groups=((0, 1), (0, 2), (1, 2)), q=1)
+    options = SolverOptions(max_outer=4, n_restarts=1, keep_trace=False)
+    rng = np.random.default_rng(2024)
+    outcomes = []
+    for kind in ("random", "rank1", "zero", "nan"):
+        H = _stress_channel(kind, rng)
+        for snr_db in (-20.0, 0.0, 30.0, 100.0, 200.0):
+            P_T = 10.0 ** (snr_db / 10.0)
+            try:
+                r, design = run_scheme(scheme, lay, H, P_T, 1.0, options, 5, 2)
+            except (SolverError, InputError) as err:
+                outcomes.append((kind, snr_db, type(err).__name__))
+                continue
+            W = design[1] if scheme == "oracle_smallscale" else design.W
+            assert math.isfinite(r), (kind, snr_db, r)
+            assert np.all(np.isfinite(W)), (kind, snr_db)
+            assert np.sum(np.abs(W) ** 2) <= P_T * (1 + 1e-6), (kind, snr_db)
+            outcomes.append((kind, snr_db, "ok"))
+    # a NaN channel is rejected at the boundary, and a healthy channel at a
+    # moderate SNR always solves
+    assert all(o[2] == "InputError" for o in outcomes if o[0] == "nan")
+    assert ("random", 0.0, "ok") in outcomes
