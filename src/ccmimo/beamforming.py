@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import derive_seed, require_finite
+from .channel import derive_seed, require_finite, require_positive
 from .errors import ConfigError, SolverError
 
 LN2 = math.log(2.0)
@@ -87,8 +87,7 @@ def lmmse_receivers(W, H, N0, member=None):
     (n_users, n_streams, G); rows outside ``member`` are zeroed when a
     mask is given.
     """
-    if N0 <= 0:
-        raise ConfigError(f"N0 must be positive, got {N0}")
+    require_positive(N0=N0)
     nU, G, _ = H.shape
     heff = np.einsum("ugl,sl->ugs", H, W)
     cov = heff @ heff.conj().transpose(0, 2, 1) + N0 * np.eye(G)
@@ -359,60 +358,65 @@ def _optimize_single(layout, H, P_T, N0, opt, init_seed, W0=None):
 
     def check_finite(name, arr):
         if not np.all(np.isfinite(arr)):
-            raise SolverError(f"non-finite values in {name}", trace=trace)
+            raise SolverError(f"non-finite values in {name}")
 
     obj_prev = None
     stall = 0
-    for outer in range(1, opt.max_outer + 1):
+    try:
+        for outer in range(1, opt.max_outer + 1):
+            U = lmmse_receivers(W, H, N0, member)
+            obj = rate_objective(W, H, layout, N0, U=U)
+            diag["outer_iterations"] = outer
+            if obj_prev is not None:
+                diag["outer_decrease"] = max(diag["outer_decrease"], obj_prev - obj)
+                stall = stall + 1 if abs(obj - obj_prev) < TOL else 0
+                if stall >= PATIENCE:
+                    obj_prev = obj
+                    break
+            obj_prev = obj
+
+            best_inner, best_W = obj, W
+            inner_prev = None
+            for inner in range(1, MAX_INNER + 1):
+                lam_eff = lam * (z * nU)[:, None]
+                W_it, mu, power, resid = solve_tx_with_power(U, lam_eff, H, P_T)
+                check_finite("transmit vectors", W_it)
+                diag["stationarity"] = max(diag["stationarity"], resid)
+                diag["power_overrun"] = max(diag["power_overrun"], (power - P_T) / P_T)
+
+                P_it = _cross_gains(W_it, H, U)  # shared by the MSEs and the rate
+                eps = mse(W_it, H, U, N0, P=P_it)
+                check_finite("stream MSEs", eps)
+                rates, r_c = update_rates(v, eps, layout)
+                v, lam = update_duals(v, eps, r_c, eta, layout, rates=rates,
+                                      variant=opt.gradient)
+                norm_err = float(np.max(np.abs(v.sum(axis=1) / layout.q - 1.0)))
+                diag["dual_norm_err"] = max(diag["dual_norm_err"], norm_err)
+                if nU > 1:
+                    # exponentiated subgradient on the common-rate constraint:
+                    # users below the common rate gain priority
+                    z = z * np.exp(USER_WEIGHT_STEP * (r_c - rates.sum(axis=1)))
+                    z = np.maximum(z, 1e-12)
+                    z /= z.sum()
+
+                obj_in = rate_objective(W_it, H, layout, N0, U=U, P=P_it)
+                if opt.keep_trace:
+                    trace.append({
+                        "outer": outer, "inner": inner, "objective": obj_in,
+                        "power": power, "mu": mu, "stationarity": resid, "r_c": r_c,
+                    })
+                if obj_in > best_inner:
+                    best_inner, best_W = obj_in, W_it
+                if inner_prev is not None and abs(obj_in - inner_prev) < TOL:
+                    break
+                inner_prev = obj_in
+            W = best_W
+
         U = lmmse_receivers(W, H, N0, member)
-        obj = rate_objective(W, H, layout, N0, U=U)
-        diag["outer_iterations"] = outer
-        if obj_prev is not None:
-            diag["outer_decrease"] = max(diag["outer_decrease"], obj_prev - obj)
-            stall = stall + 1 if abs(obj - obj_prev) < TOL else 0
-            if stall >= PATIENCE:
-                obj_prev = obj
-                break
-        obj_prev = obj
-
-        best_inner, best_W = obj, W
-        inner_prev = None
-        for inner in range(1, MAX_INNER + 1):
-            lam_eff = lam * (z * nU)[:, None]
-            W_it, mu, power, resid = solve_tx_with_power(U, lam_eff, H, P_T)
-            check_finite("transmit vectors", W_it)
-            diag["stationarity"] = max(diag["stationarity"], resid)
-            diag["power_overrun"] = max(diag["power_overrun"], (power - P_T) / P_T)
-
-            P_it = _cross_gains(W_it, H, U)  # shared by the MSEs and the rate
-            eps = mse(W_it, H, U, N0, P=P_it)
-            check_finite("stream MSEs", eps)
-            rates, r_c = update_rates(v, eps, layout)
-            v, lam = update_duals(v, eps, r_c, eta, layout, rates=rates,
-                                  variant=opt.gradient)
-            norm_err = float(np.max(np.abs(v.sum(axis=1) / layout.q - 1.0)))
-            diag["dual_norm_err"] = max(diag["dual_norm_err"], norm_err)
-            if nU > 1:
-                # exponentiated subgradient on the common-rate constraint:
-                # users below the common rate gain priority
-                z = z * np.exp(USER_WEIGHT_STEP * (r_c - rates.sum(axis=1)))
-                z = np.maximum(z, 1e-12)
-                z /= z.sum()
-
-            obj_in = rate_objective(W_it, H, layout, N0, U=U, P=P_it)
-            if opt.keep_trace:
-                trace.append({
-                    "outer": outer, "inner": inner, "objective": obj_in,
-                    "power": power, "mu": mu, "stationarity": resid, "r_c": r_c,
-                })
-            if obj_in > best_inner:
-                best_inner, best_W = obj_in, W_it
-            if inner_prev is not None and abs(obj_in - inner_prev) < TOL:
-                break
-            inner_prev = obj_in
-        W = best_W
-
-    U = lmmse_receivers(W, H, N0, member)
+    except SolverError as err:
+        # a failure converted from numpy carries the iterations run so far
+        err.trace = err.trace or list(trace)
+        raise
     user_totals = per_user_rates(W, H, layout, N0, U=U)
     objective = float(user_totals.min())
     diag["outer_decrease"] = max(diag["outer_decrease"], (obj_prev or 0.0) - objective)
@@ -438,6 +442,7 @@ def optimize(layout: StreamLayout, H, P_T, N0, options: SolverOptions | None = N
     with NaN or inf entries is an InputError.
     """
     opt = options or SolverOptions()
+    require_positive(P_T=P_T, N0=N0)
     require_finite(H)
     if H.shape[0] != layout.n_users:
         raise ConfigError(f"channel set has {H.shape[0]} users, layout expects {layout.n_users}")
@@ -487,6 +492,7 @@ def zf_beamformers(layout: StreamLayout, H, P_T, N0) -> ZfResult:
     Raises SolverError when a stream's group has no channel gain along its
     direction (an all-zero channel, say), which leaves nothing to normalize.
     """
+    require_positive(P_T=P_T, N0=N0)
     require_finite(H)
     nU, nS = layout.n_users, layout.n_streams
     G, L = H.shape[1], H.shape[2]

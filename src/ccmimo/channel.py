@@ -7,6 +7,7 @@ users never disturbs the matrices of existing ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,13 @@ def require_finite(H):
     """Raise InputError unless every entry of the channel matrices is finite."""
     if not np.all(np.isfinite(H)):
         raise InputError("channel matrices must be finite, found NaN or inf")
+
+
+def require_positive(**values):
+    """Raise ConfigError unless every named value is positive and finite."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:  # also false for NaN
+            raise ConfigError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,8 +56,7 @@ def sample_channels(seed: int, realization: int, K: int, G: int, L: int) -> Chan
 
 def snr_to_power(snr_db: float, N0: float) -> float:
     """Transmit power budget that realizes a target SNR over noise level N0."""
-    if N0 <= 0:
-        raise ConfigError(f"N0 must be positive, got {N0}")
+    require_positive(N0=N0)
     return N0 * 10.0 ** (snr_db / 10.0)
 
 

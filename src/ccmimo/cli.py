@@ -2,7 +2,8 @@
 simulation, and Monte Carlo SNR sweeps.
 
 Run configurations are flat INI files with one section per concern
-(network, plan, solver, sweep, verify, output); command-line flags
+(network, plan, solver, sweep, verify, output), each parsed into the
+dataclass of the same-named ``RunConfig`` field; a command's flags
 override the file.  Exit codes: 0 success, 2 configuration error,
 3 solver error, 4 verification failure.
 """
@@ -13,7 +14,8 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -34,130 +36,109 @@ EXIT_VERIFY = 4
 
 
 @dataclass
-class RunConfig:
-    """Everything one invocation needs, as parsed from the INI file."""
+class PlanConfig:
+    """[plan]: operating-point overrides; None lets the DoF planner choose."""
 
-    network: NetworkConfig
     omega: int | None = None
     beta: int | None = None
     q: int | None = None
-    solver: SolverOptions = field(default_factory=SolverOptions)
-    snr_db: list = field(default_factory=lambda: [5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
+
+
+@dataclass
+class SweepConfig:
+    """[sweep]: the SNR grid, schemes and seeds of a run."""
+
+    snr_db: list[float] = field(default_factory=lambda: [5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
     realizations: int = 20
-    schemes: list = field(default_factory=lambda: ["kkt_lmmse", "zf"])
+    schemes: list[str] = field(default_factory=lambda: ["kkt_lmmse", "zf"])
     seed: int = 1
     subset_sample: int | None = None
     oracle_restarts: int = 40
+
+
+@dataclass
+class VerifyConfig:
+    """[verify]: the largest K verified bit-exactly."""
+
     desk_scale_cap: int = 8
+
+
+@dataclass
+class OutputConfig:
+    """[output]: where traces, CSV and plot data go."""
+
     out_dir: str = "out"
 
 
-_NETWORK_FIELDS = ("K", "L", "G", "N", "M")
+@dataclass
+class RunConfig:
+    """Everything one invocation needs: one field per INI section, each the
+    dataclass that section is parsed into."""
+
+    network: NetworkConfig
+    plan: PlanConfig = field(default_factory=PlanConfig)
+    solver: SolverOptions = field(default_factory=SolverOptions)
+    sweep: SweepConfig = field(default_factory=SweepConfig)
+    verify: VerifyConfig = field(default_factory=VerifyConfig)
+    output: OutputConfig = field(default_factory=OutputConfig)
+
+
 _KINDS = {"int": int, "float": float, "str": str}  # by field annotation
 # SolverOptions fields each command sets itself (seeds per transmission,
 # tracing per command), so a run file may not hold them
 _PER_CALL = ("init_seed", "keep_trace")
-# every key a run file may hold, by section
-_SECTION_KEYS = {
-    "network": [f.name for f in fields(NetworkConfig)],
-    "plan": ["omega", "beta", "q"],
-    "solver": [f.name for f in fields(SolverOptions) if f.name not in _PER_CALL],
-    "sweep": ["snr_db", "realizations", "schemes", "seed", "subset_sample", "oracle_restarts"],
-    "verify": ["desk_scale_cap"],
-    "output": ["out_dir"],
-}
 
 
-def _parse(where: str, raw: str, kind):
-    """``raw`` converted by ``kind``; a value that does not parse is a
+def _parse(where: str, raw: str, kind: str):
+    """``raw`` converted by the field annotation ``kind``: a scalar, ``... |
+    None`` (empty means None) or ``list[...]`` (comma-separated; numbers may
+    also be separated by spaces).  A value that does not parse is a
     ConfigError naming the ``section.key`` it came from."""
+    if kind.endswith(" | None"):
+        return _parse(where, raw, kind[:-7]) if raw.strip() else None
+    if kind.startswith("list["):
+        item = kind[5:-1]
+        parts = raw.replace(",", " ").split() if item == "float" else raw.split(",")
+        return [_parse(where, x.strip(), item) for x in parts if x.strip()]
     try:
-        return kind(raw)
+        return _KINDS[kind](raw)
     except ValueError:
-        raise ConfigError(f"{where} = {raw!r} is not a valid {kind.__name__}") from None
-
-
-def _get(section, key: str, kind, fallback=None):
-    """section[key] parsed by ``kind``, or ``fallback`` when the key is absent."""
-    if key not in section:
-        return fallback
-    return _parse(f"{section.name}.{key}", section[key], kind)
-
-
-def _read_fields(section, cls) -> dict:
-    """The fields of dataclass ``cls`` present in an INI section, each parsed
-    by its annotated type."""
-    return {f.name: _get(section, f.name, _KINDS[f.type])
-            for f in fields(cls) if f.name in section}
-
-
-def _check_keys(cp):
-    """ConfigError on a section or key a run file may not hold."""
-    for name in cp.sections():
-        known = _SECTION_KEYS.get(name)
-        if known is None:
-            raise ConfigError(f"unknown section [{name}]; expected one of "
-                              f"{', '.join(_SECTION_KEYS)}")
-        for key in cp[name]:
-            if key not in map(cp.optionxform, known):
-                raise ConfigError(f"unknown key {name}.{key}; expected one of {', '.join(known)}")
+        raise ConfigError(f"{where} = {raw!r} is not a valid {kind}") from None
 
 
 def load_run_config(path: str) -> RunConfig:
+    """The run file at ``path``; an unknown section or key, a missing
+    mandatory key or a value that does not parse is a ConfigError."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     if not cp.read(path):
         raise ConfigError(f"cannot read config file {path}")
-    _check_keys(cp)
-    if "network" not in cp:
-        raise ConfigError("config is missing the [network] section")
-    net = cp["network"]
-    for name in _NETWORK_FIELDS:
-        if name not in net:
-            raise ConfigError(f"config is missing mandatory field network.{name}")
-    rc = RunConfig(network=NetworkConfig(**_read_fields(net, NetworkConfig)))
-
-    if "plan" in cp:
-        for name in _SECTION_KEYS["plan"]:
-            if cp["plan"].get(name, "").strip():
-                setattr(rc, name, _get(cp["plan"], name, int))
-
-    if "solver" in cp:
-        rc.solver = SolverOptions(**_read_fields(cp["solver"], SolverOptions))
-
-    if "sweep" in cp:
-        sw = cp["sweep"]
-        if "snr_db" in sw:
-            rc.snr_db = [_parse("sweep.snr_db", x, float)
-                         for x in sw["snr_db"].replace(",", " ").split()]
-        rc.realizations = _get(sw, "realizations", int, rc.realizations)
-        if "schemes" in sw:
-            rc.schemes = [s.strip() for s in sw["schemes"].split(",") if s.strip()]
-        rc.seed = _get(sw, "seed", int, rc.seed)
-        if sw.get("subset_sample", "").strip():
-            rc.subset_sample = _get(sw, "subset_sample", int)
-        rc.oracle_restarts = _get(sw, "oracle_restarts", int, rc.oracle_restarts)
-
-    if "verify" in cp:
-        rc.desk_scale_cap = _get(cp["verify"], "desk_scale_cap", int, rc.desk_scale_cap)
-    if "output" in cp:
-        rc.out_dir = cp["output"].get("out_dir", fallback=rc.out_dir)
-    return rc
-
-
-def save_run_config(rc: RunConfig, path: str):
-    cp = configparser.ConfigParser()
-    for section, keys in _SECTION_KEYS.items():
-        source = {"network": rc.network, "solver": rc.solver}.get(section, rc)
-        cp[section] = {k: ",".join(map(str, v)) if isinstance(v, list) else v
-                       for k in keys if (v := getattr(source, k)) is not None}
-    with open(path, "w") as fh:
-        cp.write(fh)
+    classes = get_type_hints(RunConfig)  # section name -> dataclass
+    schema = {name: [f for f in fields(cls) if f.name not in _PER_CALL]
+              for name, cls in classes.items()}
+    for name in cp.sections():
+        if name not in schema:
+            raise ConfigError(f"unknown section [{name}]; expected one of {', '.join(schema)}")
+        known = [f.name for f in schema[name]]
+        for key in cp[name]:
+            if key not in map(cp.optionxform, known):
+                raise ConfigError(f"unknown key {name}.{key}; expected one of {', '.join(known)}")
+    sections = {}
+    for name, cls in classes.items():
+        section = cp[name] if name in cp else {}
+        for f in schema[name]:
+            if f.default is MISSING and f.default_factory is MISSING and f.name not in section:
+                raise ConfigError(f"config is missing mandatory field {name}.{f.name}"
+                                  if name in cp else f"config is missing the [{name}] section")
+        sections[name] = cls(**{f.name: _parse(f"{name}.{f.name}", section[f.name], f.type)
+                                for f in schema[name] if f.name in section})
+    return RunConfig(**sections)
 
 
 def resolve_plan(rc: RunConfig):
     """DoF-optimal operating point (honoring overrides) plus the full schedule."""
     net = rc.network
-    dp = optimize_dof(net.L, net.G, net.t, omega=rc.omega, beta=rc.beta, q=rc.q)
+    dp = optimize_dof(net.L, net.G, net.t, omega=rc.plan.omega, beta=rc.plan.beta,
+                      q=rc.plan.q)
     plan = plan_transmissions(net, dp.omega, dp.beta, dp.q)
     return dp, plan
 
@@ -185,16 +166,16 @@ def _random_demand(rc: RunConfig):
     if bits % 8 != 0:
         raise ConfigError(f"file_size_bits={bits} must be a multiple of 8 to "
                           f"generate byte payloads")
-    rng = np.random.default_rng(np.random.SeedSequence(rc.seed, spawn_key=(3,)))
+    rng = np.random.default_rng(np.random.SeedSequence(rc.sweep.seed, spawn_key=(3,)))
     library = [rng.bytes(bits // 8) for _ in range(rc.network.N)]
     return library, rng.integers(0, rc.network.N, size=rc.network.K).tolist()
 
 
 def cmd_verify_delivery(rc: RunConfig, args) -> int:
     net = rc.network
-    if net.K > rc.desk_scale_cap:
+    if net.K > rc.verify.desk_scale_cap:
         raise ConfigError(f"K={net.K} exceeds the desk-scale cap "
-                          f"{rc.desk_scale_cap} for bit-exact verification")
+                          f"{rc.verify.desk_scale_cap} for bit-exact verification")
     dp, plan = resolve_plan(rc)
     library, requests = _random_demand(rc)
     placement = build_placement(net, library)
@@ -238,33 +219,23 @@ def cmd_verify_delivery(rc: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _single(args, flag: str, default):
-    """The one value given to --<flag>, or ``default`` when the flag is absent."""
-    values = getattr(args, flag)
-    if values is None:
-        return default
-    if len(values) != 1:
-        raise ConfigError(f"simulate takes exactly one --{flag} value, got {len(values)}")
-    return values[0]
-
-
 def cmd_simulate(rc: RunConfig, args) -> int:
     net = rc.network
     dp, plan = resolve_plan(rc)
-    scheme = _single(args, "scheme", "kkt_lmmse")
-    snr = _single(args, "snr", net.snr_db)
+    scheme = args.scheme
+    snr = net.snr_db if args.snr is None else args.snr
     P_T = snr_to_power(snr, net.N0)
-    cs = sample_channels(derive_seed(rc.seed, 0), 0, net.K, net.G, net.L)
-    os.makedirs(rc.out_dir, exist_ok=True)
+    cs = sample_channels(derive_seed(rc.sweep.seed, 0), 0, net.K, net.G, net.L)
+    os.makedirs(rc.output.out_dir, exist_ok=True)
 
     rates = []
     for i in range(plan.n_transmissions):
         layout = layout_for_subset(plan, i)
         Hs = cs.H[list(layout.users)]
-        path = os.path.join(rc.out_dir, f"trace_tx{i}.txt")
+        path = os.path.join(rc.output.out_dir, f"trace_tx{i}.txt")
         try:
             r, design = run_scheme(scheme, layout, Hs, P_T, net.N0, rc.solver,
-                                   derive_seed(rc.seed, 1, i), rc.oracle_restarts)
+                                   derive_seed(rc.sweep.seed, 1, i), rc.sweep.oracle_restarts)
         except SolverError as err:
             _write_trace(path, err.trace)
             print(f"solver failed on transmission {i}; trace at {path}: {err}")
@@ -298,14 +269,15 @@ def _write_trace(path, trace):
 def cmd_sweep(rc: RunConfig, args) -> int:
     net = rc.network
     dp, plan = resolve_plan(rc)
+    sw = rc.sweep
     report = monte_carlo_sweep(
-        net, plan, rc.schemes, rc.snr_db, rc.realizations, rc.seed,
-        subset_sample=rc.subset_sample, options=rc.solver,
-        oracle_restarts=rc.oracle_restarts, workers=args.workers,
+        net, plan, sw.schemes, sw.snr_db, sw.realizations, sw.seed,
+        subset_sample=sw.subset_sample, options=rc.solver,
+        oracle_restarts=sw.oracle_restarts, workers=args.workers,
     )
-    os.makedirs(rc.out_dir, exist_ok=True)
-    csv_path = os.path.join(rc.out_dir, "sweep.csv")
-    dat_path = os.path.join(rc.out_dir, "sweep.dat")
+    os.makedirs(rc.output.out_dir, exist_ok=True)
+    csv_path = os.path.join(rc.output.out_dir, "sweep.csv")
+    dat_path = os.path.join(rc.output.out_dir, "sweep.dat")
     with open(csv_path, "w") as fh:
         fh.write(report.to_csv())
     with open(dat_path, "w") as fh:
@@ -338,30 +310,32 @@ def _build_parser():
                     "verification, and link-level rate simulation.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", required=True, help="INI run configuration")
-        sp.add_argument("--seed", type=int, default=None, help="override sweep.seed")
-        sp.add_argument("--out", default=None, help="override output.out_dir")
-        sp.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-        sp.add_argument("--snr", type=float, nargs="*", default=None,
-                        help="override sweep.snr_db (dB); simulate takes one value")
-        sp.add_argument("--realizations", type=int, default=None)
-        sp.add_argument("--scheme", nargs="*", default=None,
-                        help="override sweep.schemes; simulate takes one scheme")
-
-    for name, fn, doc in (
-        ("plan", cmd_plan, "print the stream-planner table and chosen delivery plan"),
-        ("verify-delivery", cmd_verify_delivery, "bit-exact decode round trip"),
-        ("simulate", cmd_simulate, "single channel realization with solver traces"),
-        ("sweep", cmd_sweep, "Monte Carlo SNR sweep, writes CSV and plot data"),
-        ("dump", cmd_dump, "print plan and codeword text dumps"),
-    ):
+    def command(name, fn, doc):
         sp = sub.add_parser(name, help=doc)
-        common(sp)
-        if name == "verify-delivery":
-            sp.add_argument("--corrupt", action="store_true",
-                            help="test mode: corrupt one codeword, expect FAIL")
         sp.set_defaults(func=fn)
+        sp.add_argument("--config", required=True, help="INI run configuration")
+        return sp
+
+    # a flag that overrides the run file has the overridden field's name as dest
+    command("plan", cmd_plan, "print the stream-planner table and chosen delivery plan")
+    verify = command("verify-delivery", cmd_verify_delivery, "bit-exact decode round trip")
+    simulate = command("simulate", cmd_simulate, "single channel realization with solver traces")
+    sweep = command("sweep", cmd_sweep, "Monte Carlo SNR sweep, writes CSV and plot data")
+    dump = command("dump", cmd_dump, "print plan and codeword text dumps")
+    for sp in (verify, simulate, sweep, dump):
+        sp.add_argument("--seed", type=int, help="override sweep.seed")
+    for sp in (simulate, sweep):
+        sp.add_argument("--out", dest="out_dir", metavar="OUT", help="override output.out_dir")
+    verify.add_argument("--corrupt", action="store_true",
+                        help="test mode: corrupt one codeword, expect FAIL")
+    simulate.add_argument("--snr", type=float, help="SNR in dB (default: network P_T/N0)")
+    simulate.add_argument("--scheme", default="kkt_lmmse", help="default: kkt_lmmse")
+    sweep.add_argument("--snr", type=float, nargs="+", dest="snr_db", metavar="SNR",
+                       help="override sweep.snr_db (dB)")
+    sweep.add_argument("--realizations", type=int, help="override sweep.realizations")
+    sweep.add_argument("--scheme", nargs="+", dest="schemes", metavar="SCHEME",
+                       help="override sweep.schemes")
+    sweep.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     return p
 
 
@@ -369,16 +343,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         rc = load_run_config(args.config)
-        if args.seed is not None:
-            rc.seed = args.seed
-        if args.out is not None:
-            rc.out_dir = args.out
-        if args.snr is not None and args.command == "sweep":
-            rc.snr_db = list(args.snr)
-        if args.realizations is not None:
-            rc.realizations = args.realizations
-        if args.scheme is not None and args.command == "sweep":
-            rc.schemes = list(args.scheme)
+        for f in fields(rc):
+            section = getattr(rc, f.name)
+            given = {k.name: getattr(args, k.name) for k in fields(section)
+                     if getattr(args, k.name, None) is not None}
+            setattr(rc, f.name, replace(section, **given))
         return args.func(rc, args)
     except (ConfigError, InputError, PlanError) as err:
         print(f"configuration error: {err}", file=sys.stderr)

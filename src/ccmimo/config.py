@@ -5,6 +5,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 
+from .channel import require_positive
 from .errors import ConfigError
 
 
@@ -35,10 +36,7 @@ class NetworkConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-        if self.P_T <= 0:
-            raise ConfigError(f"P_T must be positive, got {self.P_T}")
-        if self.N0 <= 0:
-            raise ConfigError(f"N0 must be positive, got {self.N0}")
+        require_positive(P_T=self.P_T, N0=self.N0)
         if (self.K * self.M) % self.N != 0:
             raise ConfigError(
                 f"cache budget K*M/N = {self.K}*{self.M}/{self.N} is not an integer"

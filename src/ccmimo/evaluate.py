@@ -152,13 +152,21 @@ def monte_carlo_sweep(config: NetworkConfig, plan: DeliveryPlan, schemes, snr_db
     uniform pick) and extrapolates the summed inverse rates by
     n_transmissions / sample size; the report records the choice.
     Realizations where a solver fails or a rate is non-positive are
-    discarded and counted.  Deterministic for a fixed seed.
+    discarded and counted.  Deterministic for a fixed seed.  An empty scheme
+    list or SNR grid, a negative realization count or a subset sample
+    below one is a ConfigError.
     """
     schemes = list(schemes)
     snr_db = [float(s) for s in snr_db]
     for s in schemes:
         if s not in SCHEMES:
             raise ConfigError(f"unknown scheme {s!r}; expected one of {SCHEMES}")
+    if not schemes or not snr_db:
+        raise ConfigError(f"empty sweep: schemes={schemes}, snr_db={snr_db}")
+    if n_realizations < 0:
+        raise ConfigError(f"n_realizations must be >= 0, got {n_realizations}")
+    if subset_sample is not None and subset_sample < 1:
+        raise ConfigError(f"subset_sample must be >= 1, got {subset_sample}")
     options = options or SolverOptions()
 
     n_tx = plan.n_transmissions

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import require_finite
+from .channel import require_finite, require_positive
 from .errors import SolverError
 
 
@@ -77,6 +77,7 @@ def max_rate_projected_gradient(H, groups, q, P_T, N0, restarts=200, seed=0,
     seeded random restarts.  Returns (best rate, best W); (-inf, None)
     when no restart is run.
     """
+    require_positive(P_T=P_T, N0=N0)
     require_finite(H)
     if restarts < 1:
         return -np.inf, None

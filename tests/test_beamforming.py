@@ -6,6 +6,7 @@ import pytest
 from ccmimo import (ConfigError, InputError, NetworkConfig, SolverError, SolverOptions,
                     StreamLayout, lmmse_receivers, mse, optimize, plan_transmissions,
                     rate_objective, sinr, zf_beamformers, zf_leakage)
+from ccmimo import beamforming
 from ccmimo.beamforming import (MU_FLOOR, closed_form_mu, layout_for_subset,
                                 solve_tx_with_power, tx_power, update_duals,
                                 update_rates)
@@ -390,3 +391,23 @@ def test_singular_receiver_covariance_is_solver_error():
         run_scheme("zf", lay, H, 1e20, 1.0, SolverOptions(), 0, 1)
     with pytest.raises(SolverError, match="rate_with_ideal_receivers"):
         run_scheme("oracle_smallscale", lay, H, 1e20, 1.0, SolverOptions(), 0, 1)
+
+
+def test_converted_solver_error_carries_trace(monkeypatch):
+    # the receivers fail on their second call, after the first outer
+    # iteration's inner updates have been traced
+    rng = np.random.default_rng(11)
+    lay, H, _ = random_instance(rng, 3, 2, 3, ((0, 1), (0, 2), (1, 2)), 1)
+    real, calls = beamforming.lmmse_receivers, []
+
+    @beamforming._typed_linalg
+    def lmmse_receivers(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(beamforming, "lmmse_receivers", lmmse_receivers)
+    with pytest.raises(SolverError, match="lmmse_receivers") as exc:
+        optimize(lay, H, 10.0, 1.0)
+    assert exc.value.trace and all(rec["outer"] == 1 for rec in exc.value.trace)

@@ -1,12 +1,17 @@
 import os
+import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import ccmimo
 from ccmimo import SolverError
-from ccmimo.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VERIFY,
-                        load_run_config, main, save_run_config)
+from ccmimo.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VERIFY, _build_parser,
+                        load_run_config, main)
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
 
 BASE_INI = """\
 [network]
@@ -41,19 +46,6 @@ def ini(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(BASE_INI.format(out=tmp_path / "out"))
     return str(path)
-
-
-def test_config_round_trip(ini, tmp_path):
-    rc = load_run_config(ini)
-    again = tmp_path / "again.ini"
-    save_run_config(rc, str(again))
-    rc2 = load_run_config(str(again))
-    assert rc.network == rc2.network
-    assert (rc.omega, rc.beta, rc.q) == (rc2.omega, rc2.beta, rc2.q)
-    assert rc.solver == rc2.solver
-    assert rc.snr_db == rc2.snr_db
-    assert rc.schemes == rc2.schemes
-    assert rc.seed == rc2.seed
 
 
 def test_missing_field_exit_code(tmp_path, capsys):
@@ -176,12 +168,25 @@ def test_unknown_key_in_any_section_exit_code(tmp_path, capsys, after, line, whe
 
 
 def test_readme_run_config_loads(tmp_path):
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    readme = open(README).read()
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     path = tmp_path / "run.ini"
     path.write_text(block)
     rc = load_run_config(str(path))
-    assert rc.network.K == 4 and rc.realizations == 20 and rc.desk_scale_cap == 8
+    assert rc.network.K == 4 and rc.sweep.realizations == 20 and rc.verify.desk_scale_cap == 8
+
+
+def test_readme_commands_parse(tmp_path):
+    # every command line of the README's CLI block takes only flags its command has
+    blocks = [b.split("```", 1)[0] for b in open(README).read().split("```sh\n")[1:]]
+    block = next(b for b in blocks if b.startswith("ccmimo "))
+    path = tmp_path / "run.ini"
+    path.write_text("")
+    for line in block.splitlines():
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "ccmimo", line
+        args = _build_parser().parse_args([str(path) if a == "run.ini" else a for a in argv[1:]])
+        assert args.config == str(path)
 
 
 def test_simulate_singular_channel_exits_solver_error(ini, monkeypatch, capsys):
@@ -207,10 +212,25 @@ def test_simulate_singular_channel_exits_solver_error(ini, monkeypatch, capsys):
     ["--snr", "10", "--scheme"],
 ])
 def test_simulate_takes_one_snr_and_one_scheme(ini, capsys, flags):
-    assert main(["simulate", "--config", ini] + flags) == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert "exactly one" in captured.err
-    assert "symmetric_rate=" not in captured.out
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", ini] + flags)
+    assert exc.value.code == EXIT_CONFIG
+    assert "symmetric_rate=" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--snr", "10", "30"],
+    ["plan", "--workers", "2"],
+])
+def test_flag_errors_exit_2(ini, argv):
+    # arity errors and flags a command does not take are argparse usage errors
+    src = os.path.join(os.path.dirname(README), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    cmd = [sys.executable, "-m", "ccmimo.cli", argv[0], "--config", ini] + argv[1:]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "usage:" in proc.stderr and not proc.stdout
 
 
 @pytest.mark.parametrize("line, bad", [
@@ -247,6 +267,14 @@ def test_sweep_rerun_byte_identical(ini, tmp_path):
     first = (tmp_path / "out" / "sweep.csv").read_bytes()
     assert main(["sweep", "--config", ini, "--workers", "1"]) == EXIT_OK
     assert (tmp_path / "out" / "sweep.csv").read_bytes() == first
+
+
+def test_sweep_empty_snr_grid_exit_code(ini, capsys):
+    text = open(ini).read()
+    with open(ini, "w") as fh:
+        fh.write(text.replace("snr_db = 5,10", "snr_db ="))
+    assert main(["sweep", "--config", ini, "--workers", "1"]) == EXIT_CONFIG
+    assert "snr_db" in capsys.readouterr().err
 
 
 def test_sweep_flag_overrides(ini, tmp_path):

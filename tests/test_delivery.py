@@ -1,5 +1,5 @@
 import itertools
-from math import comb
+from math import comb, inf, nan
 
 import numpy as np
 import pytest
@@ -102,7 +102,8 @@ def test_non_integer_budget_is_config_error():
         NetworkConfig(K=3, L=3, G=1, N=2, M=1)  # K*M/N = 3/2
     # every count must be a real integer: no floats, even integral ones, no bools
     for bad in (dict(L=2.5), dict(K=4.0), dict(G=True), dict(N=4.0), dict(M=1.0),
-                dict(file_size_bits=8192.0), dict(K="4")):
+                dict(file_size_bits=8192.0), dict(K="4"), dict(P_T=nan),
+                dict(P_T=inf), dict(N0=nan), dict(N0=inf)):
         with pytest.raises(ConfigError):
             NetworkConfig(**{**dict(K=4, L=3, G=2, N=4, M=1), **bad})
     # numpy integers are integers

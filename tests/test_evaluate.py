@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ccmimo
-from ccmimo import (InputError, NetworkConfig, SolverError, SolverOptions,
+from ccmimo import (ConfigError, InputError, NetworkConfig, SolverError, SolverOptions,
                     fitted_stream_count, monte_carlo_sweep, plan_transmissions,
                     rate_objective, symmetric_rate)
 from ccmimo.beamforming import StreamLayout
@@ -73,6 +73,18 @@ def test_sweep_empty():
     assert rep.points == [] or all(p.n_ok == 0 for p in rep.points)
     assert rep.meta["n_realizations"] == 0
     assert rep.to_csv().splitlines()[0] == "scheme,snr_db,mean_rsym,stderr,n_ok,n_failed,seed"
+
+
+@pytest.mark.parametrize("bad", [
+    dict(snr_db=[]), dict(schemes=[]), dict(n_realizations=-1),
+    dict(subset_sample=0), dict(subset_sample=-1),
+])
+def test_sweep_rejects_bad_arguments(bad):
+    cfg = NetworkConfig(K=3, L=2, G=2, N=3, M=1)
+    plan = plan_transmissions(cfg, 2, 1, 1)
+    args = dict(schemes=["zf"], snr_db=[5.0], n_realizations=1, seed=1, subset_sample=None)
+    with pytest.raises(ConfigError):
+        monte_carlo_sweep(cfg, plan, **{**args, **bad})
 
 
 def test_sweep_determinism():
@@ -185,3 +197,9 @@ def test_run_scheme_stress_only_typed_errors(scheme):
     # moderate SNR always solves
     assert all(o[2] == "InputError" for o in outcomes if o[0] == "nan")
     assert ("random", 0.0, "ok") in outcomes
+    # so is a power budget or noise level that is not positive and finite
+    H = _stress_channel("random", rng)
+    for P_T, N0 in ((0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (math.nan, 1.0),
+                    (1.0, 0.0), (1.0, math.nan)):
+        with pytest.raises(ConfigError):
+            run_scheme(scheme, lay, H, P_T, N0, options, 5, 2)
