@@ -6,7 +6,7 @@ from .beamforming import (BeamformerState, SolverOptions, StreamLayout,
                           mse, optimize, per_user_rates, rate_objective, sinr,
                           solve_tx_with_power, update_duals, update_rates,
                           zf_beamformers, zf_leakage)
-from .channel import ChannelSet, dump_channels, load_channels, sample_channels, snr_to_power
+from .channel import ChannelSet, sample_channels, snr_to_power
 from .config import NetworkConfig
 from .delivery import (CodewordSet, DeliveryPlan, PlacementMap, build_codewords,
                        build_placement, dump_codewords, dump_plan,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import derive_seed, require_finite, require_positive
+from .channel import derive_seed, require_finite, require_positive, seeded_rng
 from .errors import ConfigError, SolverError
 
 LN2 = math.log(2.0)
@@ -80,21 +80,19 @@ def layout_for_subset(plan, i: int) -> StreamLayout:
 # ---------------------------------------------------------------------------
 
 @_typed_linalg
-def lmmse_receivers(W, H, N0, member=None):
+def lmmse_receivers(W, H, N0, member):
     """MMSE receive vectors for every (user, stream) pair.
 
-    W: (n_streams, L) transmit vectors; H: (n_users, G, L).  Returns
-    (n_users, n_streams, G); rows outside ``member`` are zeroed when a
-    mask is given.
+    W: (n_streams, L) transmit vectors; H: (n_users, G, L); member:
+    (n_users, n_streams) mask.  Returns (n_users, n_streams, G), with the
+    rows outside ``member`` zeroed.
     """
     require_positive(N0=N0)
     nU, G, _ = H.shape
     heff = np.einsum("ugl,sl->ugs", H, W)
     cov = heff @ heff.conj().transpose(0, 2, 1) + N0 * np.eye(G)
     U = np.linalg.solve(cov, heff).transpose(0, 2, 1)  # (nU, nS, G)
-    if member is not None:
-        U = np.where(member[:, :, None], U, 0.0)
-    return U
+    return np.where(member[:, :, None], U, 0.0)
 
 
 def _cross_gains(W, H, U):
@@ -303,6 +301,9 @@ class SolverOptions:
     def __post_init__(self):
         if self.gradient not in ("common_rate", "per_user"):
             raise ConfigError(f"gradient must be common_rate or per_user, got {self.gradient!r}")
+        for name, low in (("max_outer", 1), ("n_restarts", 1), ("init_seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 @dataclass(eq=False)
@@ -337,18 +338,10 @@ def group_svd_init(layout: StreamLayout, H, P_T):
     return W * np.sqrt(P_T / tx_power(W))
 
 
-def _optimize_single(layout, H, P_T, N0, opt, init_seed, W0=None):
+def _optimize_single(layout, H, P_T, N0, opt, W):
     member = layout.member
-    nU, nS = layout.n_users, layout.n_streams
-    L = H.shape[2]
+    nU = layout.n_users
     eta = STEP_PER_SLOT * layout.q
-
-    if W0 is not None:
-        W = W0.copy()
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence(init_seed))
-        W = rng.standard_normal((nS, L)) + 1j * rng.standard_normal((nS, L))
-        W *= np.sqrt(P_T / tx_power(W))
 
     v = np.where(member, 1.0 / nU, 0.0)
     lam = v.copy()
@@ -433,9 +426,10 @@ def optimize(layout: StreamLayout, H, P_T, N0, options: SolverOptions | None = N
     subgradient dual steps at fixed receivers.  The incumbent only ever
     moves to an inner iterate that improves the worst-user rate under
     the current receivers, so the objective seen after each receiver
-    refresh is non-decreasing.  With n_restarts > 1 the whole procedure
-    runs from several seeded initializations and keeps the best result
-    (invariant diagnostics are merged across restarts).
+    refresh is non-decreasing.  Restart r starts from the group-SVD
+    directions (r=0), the zero-forcing design (r=1) or a random draw seeded
+    by derive_seed(init_seed, r); the best result is kept, and invariant
+    diagnostics are merged across restarts.
 
     Returns a BeamformerState whose ``objective`` is the worst-user rate
     recomputed from the final transmit and receive vectors.  A channel
@@ -449,16 +443,19 @@ def optimize(layout: StreamLayout, H, P_T, N0, options: SolverOptions | None = N
 
     best = None
     merged = dict(dict.fromkeys(INVARIANT_KEYS, 0.0), outer_iterations=0)
-    for r in range(max(1, opt.n_restarts)):
-        # two structured starts (group-SVD, zero-forcing), then random ones;
-        # the nulling start matters at high SNR where interference dominates
+    for r in range(opt.n_restarts):
+        # two structured starts (group-SVD, zero-forcing), then seeded random
+        # ones; the nulling start matters at high SNR where interference dominates
         if r == 0:
             W0 = group_svd_init(layout, H, P_T)
         elif r == 1:
             W0 = zf_beamformers(layout, H, P_T, N0).W
         else:
-            W0 = None
-        state = _optimize_single(layout, H, P_T, N0, opt, derive_seed(opt.init_seed, r), W0=W0)
+            rng = seeded_rng(derive_seed(opt.init_seed, r))
+            shape = (layout.n_streams, H.shape[2])
+            W0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            W0 *= np.sqrt(P_T / tx_power(W0))
+        state = _optimize_single(layout, H, P_T, N0, opt, W0)
         merge_invariants(merged, state.diagnostics)
         merged["outer_iterations"] += state.diagnostics["outer_iterations"]
         if best is None or state.objective > best.objective:

@@ -2,7 +2,7 @@
 simulation, and Monte Carlo SNR sweeps.
 
 Run configurations are flat INI files with one section per concern
-(network, plan, solver, sweep, verify, output), each parsed into the
+(network, plan, solver, sweep, output), each parsed into the
 dataclass of the same-named ``RunConfig`` field; a command's flags
 override the file.  Exit codes: 0 success, 2 configuration error,
 3 solver error, 4 verification failure.
@@ -17,10 +17,8 @@ import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import get_type_hints
 
-import numpy as np
-
 from .beamforming import SolverOptions, layout_for_subset, zf_leakage
-from .channel import derive_seed, sample_channels, snr_to_power
+from .channel import derive_seed, sample_channels, seeded_rng, snr_to_power
 from .config import NetworkConfig
 from .delivery import (build_codewords, build_placement, dump_codewords,
                        dump_plan, freshness_audit, plan_transmissions,
@@ -33,6 +31,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
+
+DESK_SCALE_CAP = 8  # the largest K verify-delivery checks bit-exactly
 
 
 @dataclass
@@ -57,13 +57,6 @@ class SweepConfig:
 
 
 @dataclass
-class VerifyConfig:
-    """[verify]: the largest K verified bit-exactly."""
-
-    desk_scale_cap: int = 8
-
-
-@dataclass
 class OutputConfig:
     """[output]: where traces, CSV and plot data go."""
 
@@ -79,7 +72,6 @@ class RunConfig:
     plan: PlanConfig = field(default_factory=PlanConfig)
     solver: SolverOptions = field(default_factory=SolverOptions)
     sweep: SweepConfig = field(default_factory=SweepConfig)
-    verify: VerifyConfig = field(default_factory=VerifyConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
 
@@ -166,16 +158,16 @@ def _random_demand(rc: RunConfig):
     if bits % 8 != 0:
         raise ConfigError(f"file_size_bits={bits} must be a multiple of 8 to "
                           f"generate byte payloads")
-    rng = np.random.default_rng(np.random.SeedSequence(rc.sweep.seed, spawn_key=(3,)))
+    rng = seeded_rng(rc.sweep.seed, 3)
     library = [rng.bytes(bits // 8) for _ in range(rc.network.N)]
     return library, rng.integers(0, rc.network.N, size=rc.network.K).tolist()
 
 
 def cmd_verify_delivery(rc: RunConfig, args) -> int:
     net = rc.network
-    if net.K > rc.verify.desk_scale_cap:
+    if net.K > DESK_SCALE_CAP:
         raise ConfigError(f"K={net.K} exceeds the desk-scale cap "
-                          f"{rc.verify.desk_scale_cap} for bit-exact verification")
+                          f"{DESK_SCALE_CAP} for bit-exact verification")
     dp, plan = resolve_plan(rc)
     library, requests = _random_demand(rc)
     placement = build_placement(net, library)

@@ -18,7 +18,7 @@ import numpy as np
 from . import oracle
 from .beamforming import (INVARIANT_KEYS, SolverOptions, layout_for_subset,
                           merge_invariants, optimize, rate_objective, zf_beamformers)
-from .channel import derive_seed, sample_channels, snr_to_power
+from .channel import derive_seed, sample_channels, seeded_rng, snr_to_power
 from .config import NetworkConfig
 from .delivery import DeliveryPlan
 from .errors import ConfigError, InputError, SolverError
@@ -64,7 +64,6 @@ class RateReport:
 
     meta: dict
     points: list = field(default_factory=list)
-    rsym: dict = field(default_factory=dict)  # (scheme, snr_db) -> per-realization values
     rates: dict = field(default_factory=dict)  # (scheme, snr_db, realization) -> per-tx rates
 
     def to_csv(self) -> str:
@@ -173,7 +172,7 @@ def monte_carlo_sweep(config: NetworkConfig, plan: DeliveryPlan, schemes, snr_db
     if subset_sample is None or subset_sample >= n_tx:
         subsets = tuple(range(n_tx))
     else:
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
+        rng = seeded_rng(seed, 2)
         subsets = tuple(sorted(rng.choice(n_tx, size=subset_sample, replace=False).tolist()))
     factor = n_tx / len(subsets)
 
@@ -201,11 +200,12 @@ def monte_carlo_sweep(config: NetworkConfig, plan: DeliveryPlan, schemes, snr_db
         "solver_diagnostics": dict.fromkeys(INVARIANT_KEYS, 0.0),
     })
 
+    rsym = {}  # (scheme, snr_db) -> per-realization values
     for snr_idx, realization, results, diag in raw:
         snr = snr_db[snr_idx]
         merge_invariants(report.meta["solver_diagnostics"], diag)
         for scheme, rates in results:
-            slot = report.rsym.setdefault((scheme, snr), [None] * n_realizations)
+            slot = rsym.setdefault((scheme, snr), [None] * n_realizations)
             if rates is None:
                 continue
             report.rates[(scheme, snr, realization)] = rates
@@ -214,7 +214,7 @@ def monte_carlo_sweep(config: NetworkConfig, plan: DeliveryPlan, schemes, snr_db
 
     for scheme in schemes:
         for snr in snr_db:
-            vals = report.rsym.get((scheme, snr), [None] * n_realizations)
+            vals = rsym.get((scheme, snr), [None] * n_realizations)
             ok = [v for v in vals if v is not None]
             n_ok, n_failed = len(ok), n_realizations - len(ok)
             mean = float(np.mean(ok)) if ok else float("nan")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import require_finite, require_positive
-from .errors import SolverError
+from .errors import ConfigError, SolverError
 
 
 def rate_with_ideal_receivers(W, H, groups, q, N0):
@@ -74,13 +74,13 @@ def max_rate_projected_gradient(H, groups, q, P_T, N0, restarts=200, seed=0,
 
     Forward-difference gradient on the real/imaginary parts of all
     transmit vectors, normalized-gradient steps with backtracking, and
-    seeded random restarts.  Returns (best rate, best W); (-inf, None)
-    when no restart is run.
+    seeded random restarts.  Returns (best rate, best W); fewer than one
+    restart is a ConfigError.
     """
     require_positive(P_T=P_T, N0=N0)
     require_finite(H)
     if restarts < 1:
-        return -np.inf, None
+        raise ConfigError(f"oracle restarts must be >= 1, got {restarts}")
     n_streams = len(groups) * q
     L = H.shape[2]
     scale = np.sqrt(P_T)

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from ccmimo import (ConfigError, InputError, NetworkConfig, SolverError, SolverOptions,
-                    StreamLayout, lmmse_receivers, mse, optimize, plan_transmissions,
-                    rate_objective, sinr, zf_beamformers, zf_leakage)
+                    StreamLayout, group_svd_init, lmmse_receivers, mse, optimize,
+                    plan_transmissions, rate_objective, sinr, zf_beamformers,
+                    zf_leakage)
 from ccmimo import beamforming
 from ccmimo.beamforming import (MU_FLOOR, closed_form_mu, layout_for_subset,
                                 solve_tx_with_power, tx_power, update_duals,
                                 update_rates)
-from ccmimo.channel import sample_channels
+from ccmimo.channel import derive_seed, sample_channels
 from ccmimo.evaluate import run_scheme
 
 LN2 = math.log(2.0)
@@ -113,7 +114,8 @@ def test_mse_identity_random():
 
 def test_lmmse_receivers_reject_bad_noise():
     with pytest.raises(ConfigError):
-        lmmse_receivers(np.ones((1, 1), dtype=complex), np.ones((1, 1, 1), dtype=complex), 0.0)
+        lmmse_receivers(np.ones((1, 1), dtype=complex), np.ones((1, 1, 1), dtype=complex), 0.0,
+                        np.ones((1, 1), dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +299,32 @@ def test_solver_trace_records():
     assert st.trace, "trace must be recorded by default"
     rec = st.trace[0]
     assert {"outer", "inner", "objective", "power", "mu", "stationarity", "r_c"} <= set(rec)
+
+
+@pytest.mark.parametrize("bad", [dict(max_outer=0), dict(n_restarts=0), dict(init_seed=-1)])
+def test_solver_options_reject_bad_counts(bad):
+    with pytest.raises(ConfigError):
+        SolverOptions(**bad)
+
+
+def test_restart_start_schedule(monkeypatch):
+    # restart 0 starts from the group-SVD directions, 1 from zero forcing,
+    # and later ones from a random draw seeded by derive_seed(init_seed, r)
+    rng = np.random.default_rng(13)
+    lay, H, _ = random_instance(rng, 3, 2, 3, ((0, 1), (0, 2), (1, 2)), 1)
+    real, starts = beamforming._optimize_single, []
+
+    def record(layout, H, P_T, N0, opt, W):
+        starts.append(W.copy())
+        return real(layout, H, P_T, N0, opt, W)
+
+    monkeypatch.setattr(beamforming, "_optimize_single", record)
+    optimize(lay, H, 10.0, 1.0, options=SolverOptions(init_seed=5, n_restarts=3, max_outer=2))
+    draw = np.random.default_rng(np.random.SeedSequence(derive_seed(5, 2)))
+    W2 = draw.standard_normal((3, 3)) + 1j * draw.standard_normal((3, 3))
+    W2 *= np.sqrt(10.0 / tx_power(W2))
+    expected = [group_svd_init(lay, H, 10.0), zf_beamformers(lay, H, 10.0, 1.0).W, W2]
+    assert [w.tobytes() for w in starts] == [w.tobytes() for w in expected]
 
 
 def test_layout_for_subset_local_indices():

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from ccmimo import (ConfigError, InputError, dump_channels, load_channels, sample_channels,
-                    snr_to_power)
+from ccmimo import ConfigError, sample_channels, snr_to_power
 
 
 def test_determinism():
@@ -50,25 +49,6 @@ def test_snr_to_power():
         snr_to_power(10.0, 0.0)
 
 
-def test_dump_load_round_trip():
-    cs = sample_channels(11, 4, K=3, G=2, L=4)
-    back = load_channels(dump_channels(cs))
-    assert back.seed == 11 and back.realization == 4
-    assert np.array_equal(back.H, cs.H)
-
-
-def test_load_channels_rejects_malformed_dump():
-    good = dump_channels(sample_channels(11, 4, K=2, G=2, L=3))
-    lines = good.splitlines()
-    bad_dumps = [
-        good.replace("user 1", "user 7"),  # wrong user header
-        "\n".join(lines[:-1]),  # truncated
-        good + "0 0 0 0 0 0\n",  # trailing row
-        good.replace(" L=3", ""),  # header field missing
-        good.replace(lines[2], lines[2] + " 1"),  # odd number of values
-        good.replace(lines[2], "1 2 x 4 5 6"),  # not a number
-        "",
-    ]
-    for text in bad_dumps:
-        with pytest.raises(InputError):
-            load_channels(text)
+def test_negative_seed_is_config_error():
+    with pytest.raises(ConfigError):
+        sample_channels(-1, 0, 1, 1, 1)

@@ -86,8 +86,7 @@ def test_verify_delivery_corrupt_fails(ini, capsys):
 
 def test_verify_delivery_k_cap(tmp_path):
     ini = tmp_path / "big.ini"
-    ini.write_text("[network]\nK = 12\nL = 3\nG = 2\nN = 12\nM = 1\n"
-                   "[verify]\ndesk_scale_cap = 8\n")
+    ini.write_text("[network]\nK = 12\nL = 3\nG = 2\nN = 12\nM = 1\n")
     assert main(["verify-delivery", "--config", str(ini)]) == EXIT_CONFIG
 
 
@@ -156,7 +155,7 @@ def test_unknown_solver_key_exit_code(ini, capsys):
     ("N0 = 1.0", "KK = 4", "network.kk"),
     ("omega = 3", "omgea = 3", "plan.omgea"),
     ("seed = 1", "realisations = 3", "sweep.realisations"),
-    ("seed = 1", "\n[verify]\ndesk_scale_caps = 4", "verify.desk_scale_caps"),
+    ("seed = 1", "\n[verify]\ndesk_scale_cap = 8", "unknown section [verify]"),
     ("out_dir = {out}", "outdir = x", "output.outdir"),
     ("seed = 1", "\n[sweeps]\nseed = 2", "[sweeps]"),
 ])
@@ -167,13 +166,44 @@ def test_unknown_key_in_any_section_exit_code(tmp_path, capsys, after, line, whe
     assert where in capsys.readouterr().err
 
 
+def test_zero_solver_counts_exit_code(ini, capsys):
+    text = open(ini).read()
+    with open(ini, "w") as fh:
+        fh.write(text.replace("max_outer = 15", "max_outer = 0")
+                 .replace("n_restarts = 1", "n_restarts = 0"))
+    assert main(["sweep", "--config", ini, "--workers", "1"]) == EXIT_CONFIG
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--workers", "1", "--scheme", "oracle_smallscale"],
+    ["simulate", "--snr", "10", "--scheme", "oracle_smallscale"],
+])
+def test_no_oracle_restarts_exit_code(ini, capsys, argv):
+    text = open(ini).read()
+    with open(ini, "w") as fh:
+        fh.write(text.replace("seed = 1", "seed = 1\noracle_restarts = 0"))
+    assert main([argv[0], "--config", ini] + argv[1:]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "oracle restarts must be >= 1" in captured.err
+    assert "rate=" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--workers", "1"], ["simulate", "--snr", "10"], ["verify-delivery"], ["dump"],
+])
+def test_negative_seed_exit_code(ini, capsys, argv):
+    assert main([argv[0], "--config", ini, "--seed", "-1"] + argv[1:]) == EXIT_CONFIG
+    assert "seeds must be non-negative" in capsys.readouterr().err
+
+
 def test_readme_run_config_loads(tmp_path):
     readme = open(README).read()
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     path = tmp_path / "run.ini"
     path.write_text(block)
     rc = load_run_config(str(path))
-    assert rc.network.K == 4 and rc.sweep.realizations == 20 and rc.verify.desk_scale_cap == 8
+    assert rc.network.K == 4 and rc.sweep.realizations == 20
 
 
 def test_readme_commands_parse(tmp_path):

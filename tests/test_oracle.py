@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ccmimo import InputError, max_rate_projected_gradient, rate_with_ideal_receivers
+from ccmimo import (ConfigError, InputError, max_rate_projected_gradient,
+                    rate_with_ideal_receivers)
 from ccmimo.beamforming import StreamLayout, lmmse_receivers, per_user_rates
 from ccmimo.channel import sample_channels
 
@@ -132,7 +133,8 @@ def test_stacked_rate_equals_per_set_rates(groups, q, G, L):
 
 def test_no_restarts():
     H = sample_channels(7, 0, 2, 2, 2).H
-    assert max_rate_projected_gradient(H, [(0, 1)], 2, 10.0, 1.0, restarts=0) == (-np.inf, None)
+    with pytest.raises(ConfigError):
+        max_rate_projected_gradient(H, [(0, 1)], 2, 10.0, 1.0, restarts=0)
 
 
 def test_non_finite_channel_is_input_error():
