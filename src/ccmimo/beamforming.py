@@ -356,16 +356,17 @@ def _optimize_single(layout, H, P_T, N0, opt, W):
     obj_prev = None
     stall = 0
     try:
-        for outer in range(1, opt.max_outer + 1):
+        # the step past max_outer only scores the last inner loop's transmit set
+        for outer in range(1, opt.max_outer + 2):
             U = lmmse_receivers(W, H, N0, member)
-            obj = rate_objective(W, H, layout, N0, U=U)
-            diag["outer_iterations"] = outer
+            user_totals = per_user_rates(W, H, layout, N0, U=U)
+            obj = float(user_totals.min())
             if obj_prev is not None:
                 diag["outer_decrease"] = max(diag["outer_decrease"], obj_prev - obj)
                 stall = stall + 1 if abs(obj - obj_prev) < TOL else 0
-                if stall >= PATIENCE:
-                    obj_prev = obj
-                    break
+            diag["outer_iterations"] = min(outer, opt.max_outer)
+            if outer > opt.max_outer or stall >= PATIENCE:
+                break
             obj_prev = obj
 
             best_inner, best_W = obj, W
@@ -404,16 +405,11 @@ def _optimize_single(layout, H, P_T, N0, opt, W):
                     break
                 inner_prev = obj_in
             W = best_W
-
-        U = lmmse_receivers(W, H, N0, member)
     except SolverError as err:
         # a failure converted from numpy carries the iterations run so far
         err.trace = err.trace or list(trace)
         raise
-    user_totals = per_user_rates(W, H, layout, N0, U=U)
-    objective = float(user_totals.min())
-    diag["outer_decrease"] = max(diag["outer_decrease"], (obj_prev or 0.0) - objective)
-    return BeamformerState(W=W, U=U, user_rates=user_totals, objective=objective,
+    return BeamformerState(W=W, U=U, user_rates=user_totals, objective=obj,
                            power=tx_power(W), diagnostics=diag, trace=trace)
 
 
@@ -432,7 +428,7 @@ def optimize(layout: StreamLayout, H, P_T, N0, options: SolverOptions | None = N
     diagnostics are merged across restarts.
 
     Returns a BeamformerState whose ``objective`` is the worst-user rate
-    recomputed from the final transmit and receive vectors.  A channel
+    of the final transmit vectors under their own LMMSE receivers.  A channel
     with NaN or inf entries is an InputError.
     """
     opt = options or SolverOptions()

@@ -21,8 +21,7 @@ from .beamforming import SolverOptions, layout_for_subset, zf_leakage
 from .channel import derive_seed, sample_channels, seeded_rng, snr_to_power
 from .config import NetworkConfig
 from .delivery import (build_codewords, build_placement, dump_codewords,
-                       dump_plan, freshness_audit, plan_transmissions,
-                       subpacketization, verify_decode)
+                       dump_plan, freshness_audit, plan_transmissions, verify_decode)
 from .dof import format_scan_table, optimize_dof
 from .errors import ConfigError, DeliveryError, InputError, PlanError, SolverError
 from .evaluate import monte_carlo_sweep, run_scheme, symmetric_rate
@@ -144,10 +143,9 @@ def cmd_plan(rc: RunConfig, args) -> int:
     print(f"network: K={net.K} L={net.L} G={net.G} N={net.N} M={net.M} t={net.t}")
     print(format_scan_table(net.L, net.G, net.t))
     dp, plan = resolve_plan(rc)
-    theta = subpacketization(net.K, net.t, dp.omega)
     print(f"chosen: omega={dp.omega} beta={dp.beta} q={dp.q} dof={dp.dof} "
           f"exact={'yes' if dp.exact else 'no'}")
-    print(f"subpacketization={theta} transmissions={plan.n_transmissions} "
+    print(f"subpacketization={plan.theta} transmissions={plan.n_transmissions} "
           f"groups_per_transmission={len(plan.groups[0])}")
     return EXIT_OK
 

@@ -64,12 +64,13 @@ def _candidate(L: int, G: int, t: int, omega: int, beta=None, q=None) -> DofPlan
     return DofPlan(omega, b, qq, omega * b, bound, b % slots == 0)
 
 
-def scan_dof(L: int, G: int, t: int) -> list[DofPlan]:
-    """All candidate serving-set sizes with their best feasible stream counts."""
+def scan_dof(L: int, G: int, t: int, beta=None, q=None) -> list[DofPlan]:
+    """All feasible serving-set sizes, in increasing order, each with its best
+    stream count or the pinned ``beta``/``q``."""
     out = []
     for omega in range(t + 1, t + L + 1):
         try:
-            out.append(_candidate(L, G, t, omega))
+            out.append(_candidate(L, G, t, omega, beta=beta, q=q))
         except PlanError:
             continue
     return out
@@ -84,22 +85,13 @@ def optimize_dof(L: int, G: int, t: int, omega=None, beta=None, q=None) -> DofPl
     """
     if L < 1 or G < 1 or t < 0:
         raise ConfigError(f"need L >= 1, G >= 1, t >= 0, got L={L}, G={G}, t={t}")
-    omegas = [omega] if omega is not None else range(t + 1, t + L + 1)
-    best = None
-    for om in omegas:
-        try:
-            cand = _candidate(L, G, t, om, beta=beta, q=q)
-        except (PlanError, ConfigError):
-            if omega is not None:
-                raise
-            continue
-        # max DoF; ties broken toward smaller omega, then exact substream splits
-        key = (-cand.dof, cand.omega, not cand.exact)
-        if best is None or key < best[0]:
-            best = (key, cand)
+    if omega is not None:
+        return _candidate(L, G, t, omega, beta=beta, q=q)
+    # the scan runs up in omega, so the first maximum has the smallest one
+    best = max(scan_dof(L, G, t, beta=beta, q=q), key=lambda c: c.dof, default=None)
     if best is None:
         raise PlanError(f"no feasible operating point for L={L}, G={G}, t={t}")
-    return best[1]
+    return best
 
 
 def format_scan_table(L: int, G: int, t: int) -> str:

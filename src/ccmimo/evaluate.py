@@ -9,6 +9,7 @@ top-level seed through named substreams (0: channels, 1: solver inits,
 
 from __future__ import annotations
 
+import functools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -109,13 +110,13 @@ def run_scheme(scheme, layout, H, P_T, N0, options: SolverOptions, seed: int,
     raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
 
-def _sweep_job(args):
-    """One (SNR point, realization): all schemes over the selected subsets."""
-    (config, plan, schemes, snr_db, snr_idx, realization, subsets, options,
-     seed, oracle_restarts) = args
+def _sweep_job(config, plan, schemes, subsets, options, seed, oracle_restarts,
+               snr_idx, snr_db, realization):
+    """One (SNR point, realization): each scheme's rates over the selected
+    subsets (None where a solver failed or a rate was not positive) and the
+    merged solver diagnostics."""
     P_T = snr_to_power(snr_db, config.N0)
     cs = sample_channels(derive_seed(seed, 0), realization, config.K, config.G, config.L)
-    options = replace(options, keep_trace=False)
     diag = dict.fromkeys(INVARIANT_KEYS, 0.0)
     results = []
     for scheme_idx, scheme in enumerate(schemes):
@@ -136,8 +137,8 @@ def _sweep_job(args):
                 rates = None
                 break
             rates.append(float(r))
-        results.append((scheme, None if rates is None else tuple(rates)))
-    return snr_idx, realization, results, diag
+        results.append(None if rates is None else tuple(rates))
+    return results, diag
 
 
 def monte_carlo_sweep(config: NetworkConfig, plan: DeliveryPlan, schemes, snr_db,
@@ -152,8 +153,8 @@ def monte_carlo_sweep(config: NetworkConfig, plan: DeliveryPlan, schemes, snr_db
     n_transmissions / sample size; the report records the choice.
     Realizations where a solver fails or a rate is non-positive are
     discarded and counted.  Deterministic for a fixed seed.  An empty scheme
-    list or SNR grid, a negative realization count or a subset sample
-    below one is a ConfigError.
+    list or SNR grid, a negative realization count or seed, or a subset
+    sample below one is a ConfigError.
     """
     schemes = list(schemes)
     snr_db = [float(s) for s in snr_db]
@@ -164,9 +165,11 @@ def monte_carlo_sweep(config: NetworkConfig, plan: DeliveryPlan, schemes, snr_db
         raise ConfigError(f"empty sweep: schemes={schemes}, snr_db={snr_db}")
     if n_realizations < 0:
         raise ConfigError(f"n_realizations must be >= 0, got {n_realizations}")
+    if seed < 0:
+        raise ConfigError(f"seeds must be non-negative, got seed={seed}")
     if subset_sample is not None and subset_sample < 1:
         raise ConfigError(f"subset_sample must be >= 1, got {subset_sample}")
-    options = options or SolverOptions()
+    options = replace(options or SolverOptions(), keep_trace=False)
 
     n_tx = plan.n_transmissions
     if subset_sample is None or subset_sample >= n_tx:
@@ -177,45 +180,34 @@ def monte_carlo_sweep(config: NetworkConfig, plan: DeliveryPlan, schemes, snr_db
     factor = n_tx / len(subsets)
 
     t0 = time.time()
-    jobs = [
-        (config, plan, schemes, snr, i, r, subsets, options, seed, oracle_restarts)
-        for i, snr in enumerate(snr_db)
-        for r in range(n_realizations)
-    ]
-    if workers > 1 and len(jobs) > 1:
+    job = functools.partial(_sweep_job, config, plan, schemes, subsets, options, seed,
+                            oracle_restarts)
+    points = [(i, snr, r) for i, snr in enumerate(snr_db) for r in range(n_realizations)]
+    if workers > 1 and len(points) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_sweep_job, jobs, chunksize=max(1, len(jobs) // (8 * workers))))
+            raw = list(pool.map(job, *zip(*points),
+                                chunksize=max(1, len(points) // (8 * workers))))
     else:
-        raw = [_sweep_job(j) for j in jobs]
+        raw = [job(*p) for p in points]
 
-    theta = plan.theta
     report = RateReport(meta={
-        "config": {f: getattr(config, f) for f in
-                   ("K", "L", "G", "N", "M", "file_size_bits", "N0")},
-        "omega": plan.omega, "beta": plan.beta, "q": plan.q,
         "schemes": schemes, "snr_db": snr_db,
         "n_realizations": n_realizations, "seed": seed,
         "n_transmissions": n_tx, "subsets_used": list(subsets),
         "extrapolation_factor": factor,
         "solver_diagnostics": dict.fromkeys(INVARIANT_KEYS, 0.0),
     })
-
-    rsym = {}  # (scheme, snr_db) -> per-realization values
-    for snr_idx, realization, results, diag in raw:
-        snr = snr_db[snr_idx]
+    for (_, snr, realization), (results, diag) in zip(points, raw):
         merge_invariants(report.meta["solver_diagnostics"], diag)
-        for scheme, rates in results:
-            slot = rsym.setdefault((scheme, snr), [None] * n_realizations)
-            if rates is None:
-                continue
-            report.rates[(scheme, snr, realization)] = rates
-            inv = factor * sum(1.0 / r for r in rates)
-            slot[realization] = config.K * theta / inv
+        for scheme, rates in zip(schemes, results):
+            if rates is not None:
+                report.rates[(scheme, snr, realization)] = rates
 
     for scheme in schemes:
         for snr in snr_db:
-            vals = rsym.get((scheme, snr), [None] * n_realizations)
-            ok = [v for v in vals if v is not None]
+            drawn = [report.rates.get((scheme, snr, r)) for r in range(n_realizations)]
+            ok = [config.K * plan.theta / (factor * sum(1.0 / x for x in rates))
+                  for rates in drawn if rates is not None]
             n_ok, n_failed = len(ok), n_realizations - len(ok)
             mean = float(np.mean(ok)) if ok else float("nan")
             stderr = float(np.std(ok, ddof=1) / np.sqrt(n_ok)) if n_ok >= 2 else 0.0

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import require_finite, require_positive
+from .channel import require_finite, require_positive, seeded_rng
 from .errors import ConfigError, SolverError
 
 
@@ -75,7 +75,7 @@ def max_rate_projected_gradient(H, groups, q, P_T, N0, restarts=200, seed=0,
     Forward-difference gradient on the real/imaginary parts of all
     transmit vectors, normalized-gradient steps with backtracking, and
     seeded random restarts.  Returns (best rate, best W); fewer than one
-    restart is a ConfigError.
+    restart or a negative seed is a ConfigError.
     """
     require_positive(P_T=P_T, N0=N0)
     require_finite(H)
@@ -93,7 +93,7 @@ def max_rate_projected_gradient(H, groups, q, P_T, N0, restarts=200, seed=0,
 
     vec = np.empty((restarts, n))
     for r in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+        rng = seeded_rng(seed, r)
         W = rng.standard_normal((n_streams, L)) + 1j * rng.standard_normal((n_streams, L))
         W *= np.sqrt(P_T / np.sum(np.abs(W) ** 2))
         vec[r] = W.view(np.float64).ravel()

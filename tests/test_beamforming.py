@@ -9,8 +9,8 @@ from ccmimo import (ConfigError, InputError, NetworkConfig, SolverError, SolverO
                     zf_leakage)
 from ccmimo import beamforming
 from ccmimo.beamforming import (MU_FLOOR, closed_form_mu, layout_for_subset,
-                                solve_tx_with_power, tx_power, update_duals,
-                                update_rates)
+                                per_user_rates, solve_tx_with_power, tx_power,
+                                update_duals, update_rates)
 from ccmimo.channel import derive_seed, sample_channels
 from ccmimo.evaluate import run_scheme
 
@@ -325,6 +325,29 @@ def test_restart_start_schedule(monkeypatch):
     W2 *= np.sqrt(10.0 / tx_power(W2))
     expected = [group_svd_init(lay, H, 10.0), zf_beamformers(lay, H, 10.0, 1.0).W, W2]
     assert [w.tobytes() for w in starts] == [w.tobytes() for w in expected]
+
+
+PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+@pytest.mark.parametrize("groups, draw, P_T, max_outer, outers, last_traced", [
+    (PAIRS, (3, 0, 3, 2, 3), 100.0, 1, 1, 1),
+    (PAIRS, (3, 0, 3, 2, 3), 100.0, 2, 2, 2),
+    (PAIRS, (3, 0, 3, 2, 3), 100.0, 3, 3, 3),
+    (((0,),), (3, 0, 1, 2, 2), 10.0, 30, 4, 3),
+], ids=["pairs-1", "pairs-2", "pairs-3", "point-to-point"])
+def test_solver_stop_accounting(groups, draw, P_T, max_outer, outers, last_traced):
+    # a run capped by max_outer counts every traced outer step; a run stopped
+    # by the patience rule (point to point) also counts the receiver refresh
+    # that stopped it.  Either way U, rates and objective belong to the final W.
+    H = sample_channels(*draw).H
+    lay = StreamLayout(users=tuple(range(H.shape[0])), groups=groups, q=1)
+    st = optimize(lay, H, P_T, 1.0, options=SolverOptions(n_restarts=1, max_outer=max_outer))
+    assert st.diagnostics["outer_iterations"] == outers
+    assert st.trace[-1]["outer"] == last_traced
+    assert np.array_equal(st.U, lmmse_receivers(st.W, H, 1.0, lay.member))
+    assert np.array_equal(st.user_rates, per_user_rates(st.W, H, lay, 1.0))
+    assert st.objective == rate_objective(st.W, H, lay, 1.0)
 
 
 def test_layout_for_subset_local_indices():

@@ -191,6 +191,7 @@ def test_no_oracle_restarts_exit_code(ini, capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["sweep", "--workers", "1"], ["simulate", "--snr", "10"], ["verify-delivery"], ["dump"],
+    ["sweep", "--realizations", "0", "--workers", "1"],  # no draw uses the seed
 ])
 def test_negative_seed_exit_code(ini, capsys, argv):
     assert main([argv[0], "--config", ini, "--seed", "-1"] + argv[1:]) == EXIT_CONFIG

@@ -78,6 +78,7 @@ def test_sweep_empty():
 @pytest.mark.parametrize("bad", [
     dict(snr_db=[]), dict(schemes=[]), dict(n_realizations=-1),
     dict(subset_sample=0), dict(subset_sample=-1), dict(seed=-1),
+    dict(seed=-1, n_realizations=0),
 ])
 def test_sweep_rejects_bad_arguments(bad):
     cfg = NetworkConfig(K=3, L=2, G=2, N=3, M=1)

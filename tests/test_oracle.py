@@ -137,6 +137,12 @@ def test_no_restarts():
         max_rate_projected_gradient(H, [(0, 1)], 2, 10.0, 1.0, restarts=0)
 
 
+def test_negative_seed_is_config_error():
+    H = sample_channels(7, 0, 2, 2, 2).H
+    with pytest.raises(ConfigError, match="non-negative"):
+        max_rate_projected_gradient(H, [(0, 1)], 2, 10.0, 1.0, restarts=2, seed=-1)
+
+
 def test_non_finite_channel_is_input_error():
     H = sample_channels(7, 0, 2, 2, 2).H
     H[0, 1, 0] = np.nan
