@@ -62,6 +62,7 @@ class StreamLayout:
         object.__setattr__(self, "n_groups", nG)
         object.__setattr__(self, "n_streams", nG * q)
         object.__setattr__(self, "member_groups", member_groups)
+        object.__setattr__(self, "group_counts", member_groups.sum(axis=1).astype(float))
         object.__setattr__(self, "member", np.repeat(member_groups, q, axis=1))
         object.__setattr__(self, "stream_group", np.repeat(np.arange(nG), q))
         object.__setattr__(self, "stream_slot", np.tile(np.arange(q), nG))
@@ -100,6 +101,13 @@ def _cross_gains(W, H, U):
     return np.einsum("usg,ugt->ust", U.conj(), heff)  # P[u,s,s'] = u_s^H H_u w_s'
 
 
+def _power_terms(P, U, N0):
+    """Signal, interference and noise power of every stream at every user."""
+    p2 = np.abs(P) ** 2
+    sig = np.einsum("uss->us", p2)
+    return sig, p2.sum(axis=2) - sig, N0 * np.sum(np.abs(U) ** 2, axis=2)
+
+
 def sinr(W, H, U, N0, P=None):
     """Per-stream SINR at every user; interference sums over all other streams.
 
@@ -107,13 +115,10 @@ def sinr(W, H, U, N0, P=None):
     """
     if P is None:
         P = _cross_gains(W, H, U)
-    p2 = np.abs(P) ** 2
-    sig = np.einsum("uss->us", p2).copy()
-    interf = p2.sum(axis=2) - sig
-    den = interf + N0 * np.sum(np.abs(U) ** 2, axis=2)
+    sig, interf, noise = _power_terms(P, U, N0)
+    den = interf + noise
     with np.errstate(invalid="ignore", divide="ignore"):
-        g = np.where(den > 0, sig / den, 0.0)
-    return g
+        return np.where(den > 0, sig / den, 0.0)
 
 
 def mse(W, H, U, N0, P=None):
@@ -124,10 +129,8 @@ def mse(W, H, U, N0, P=None):
     """
     if P is None:
         P = _cross_gains(W, H, U)
-    p2 = np.abs(P) ** 2
-    diag = np.einsum("uss->us", P)
-    interf = p2.sum(axis=2) - np.abs(diag) ** 2
-    return np.abs(1.0 - diag) ** 2 + interf + N0 * np.sum(np.abs(U) ** 2, axis=2)
+    _, interf, noise = _power_terms(P, U, N0)
+    return np.abs(1.0 - np.einsum("uss->us", P)) ** 2 + interf + noise
 
 
 # ---------------------------------------------------------------------------
@@ -227,41 +230,31 @@ def update_rates(v, eps, layout):
     l_r = linv.reshape(nU, nG, q)
     den = v_r.sum(axis=1)
     num = (v_r * l_r).sum(axis=1)
-    counts = layout.member_groups.sum(axis=1).astype(float)
     if np.any(den <= 0):
         warnings.warn("all dual weights of a (user, slot) pair hit zero; using uniform weights",
                       RuntimeWarning, stacklevel=2)
     with np.errstate(invalid="ignore", divide="ignore"):
-        r = np.where(den > 0, num / den, l_r.sum(axis=1) / counts[:, None])
+        r = np.where(den > 0, num / den, l_r.sum(axis=1) / layout.group_counts[:, None])
     return r, float(np.mean(r.sum(axis=1)))
 
 
-def update_duals(v, eps, r_c, eta, layout, rates=None, variant="common_rate"):
+def update_duals(v, eps, target, eta, layout):
     """Projected subgradient step on the per-stream dual weights.
 
+    ``target`` is the common rate or an (n_users, n_streams) rate per stream.
     After the step each user's weights are renormalized so their sum is
     exactly q, and the MSE multipliers are refreshed from the weights.
     """
     member = layout.member
     eps_safe = np.clip(eps, EPS_FLOOR, None)
-    log_eps = np.log2(eps_safe)
-    if variant == "common_rate":
-        grad = r_c + log_eps
-    elif variant == "per_user":
-        if rates is None:
-            raise ConfigError("per_user gradient variant needs the per-slot rates")
-        grad = rates[:, layout.stream_slot] + log_eps
-    else:
-        raise ConfigError(f"unknown gradient variant {variant!r}")
-
+    grad = target + np.log2(eps_safe)
     v2 = np.where(member, np.maximum(0.0, v + eta * grad), 0.0)
     tot = v2.sum(axis=1)
     dead = tot <= 0
     if np.any(dead):
         warnings.warn("dual weights of a user collapsed to zero; resetting to uniform",
                       RuntimeWarning, stacklevel=2)
-        counts = layout.member_groups.sum(axis=1).astype(float)
-        v2[dead] = np.where(member[dead], 1.0 / counts[dead, None], 0.0)
+        v2[dead] = np.where(member[dead], 1.0 / layout.group_counts[dead, None], 0.0)
         tot = v2.sum(axis=1)
     v2 = v2 * (layout.q / tot)[:, None]
     lam = np.where(member, v2 / (eps_safe * LN2), 0.0)
@@ -288,7 +281,7 @@ def merge_invariants(into: dict, diag: dict):
         into[key] = max(into[key], diag[key])
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverOptions:
     """Knobs of the alternating solver; defaults suit desk-scale scenarios."""
 
@@ -349,11 +342,15 @@ def _optimize_single(layout, H, P_T, N0, opt, W):
     trace: list = []
     diag = dict(dict.fromkeys(INVARIANT_KEYS, 0.0), outer_iterations=0)
 
+    # the dual step's target, fixed per run: the common rate or each stream's slot rate
+    target_of = {"common_rate": lambda rates, r_c: r_c,
+                 "per_user": lambda rates, r_c: rates[:, layout.stream_slot]}[opt.gradient]
+
     def check_finite(name, arr):
         if not np.all(np.isfinite(arr)):
             raise SolverError(f"non-finite values in {name}")
 
-    obj_prev = None
+    obj_prev = -math.inf  # so the first step is neither a decrease nor a stall
     stall = 0
     try:
         # the step past max_outer only scores the last inner loop's transmit set
@@ -361,16 +358,15 @@ def _optimize_single(layout, H, P_T, N0, opt, W):
             U = lmmse_receivers(W, H, N0, member)
             user_totals = per_user_rates(W, H, layout, N0, U=U)
             obj = float(user_totals.min())
-            if obj_prev is not None:
-                diag["outer_decrease"] = max(diag["outer_decrease"], obj_prev - obj)
-                stall = stall + 1 if abs(obj - obj_prev) < TOL else 0
+            diag["outer_decrease"] = max(diag["outer_decrease"], obj_prev - obj)
+            stall = stall + 1 if abs(obj - obj_prev) < TOL else 0
             diag["outer_iterations"] = min(outer, opt.max_outer)
             if outer > opt.max_outer or stall >= PATIENCE:
                 break
             obj_prev = obj
 
             best_inner, best_W = obj, W
-            inner_prev = None
+            inner_prev = -math.inf
             for inner in range(1, MAX_INNER + 1):
                 lam_eff = lam * (z * nU)[:, None]
                 W_it, mu, power, resid = solve_tx_with_power(U, lam_eff, H, P_T)
@@ -382,16 +378,14 @@ def _optimize_single(layout, H, P_T, N0, opt, W):
                 eps = mse(W_it, H, U, N0, P=P_it)
                 check_finite("stream MSEs", eps)
                 rates, r_c = update_rates(v, eps, layout)
-                v, lam = update_duals(v, eps, r_c, eta, layout, rates=rates,
-                                      variant=opt.gradient)
+                v, lam = update_duals(v, eps, target_of(rates, r_c), eta, layout)
                 norm_err = float(np.max(np.abs(v.sum(axis=1) / layout.q - 1.0)))
                 diag["dual_norm_err"] = max(diag["dual_norm_err"], norm_err)
-                if nU > 1:
-                    # exponentiated subgradient on the common-rate constraint:
-                    # users below the common rate gain priority
-                    z = z * np.exp(USER_WEIGHT_STEP * (r_c - rates.sum(axis=1)))
-                    z = np.maximum(z, 1e-12)
-                    z /= z.sum()
+                # exponentiated subgradient on the common-rate constraint: users
+                # below the common rate gain priority (one user's z stays 1)
+                z = z * np.exp(USER_WEIGHT_STEP * (r_c - rates.sum(axis=1)))
+                z = np.maximum(z, 1e-12)
+                z /= z.sum()
 
                 obj_in = rate_objective(W_it, H, layout, N0, U=U, P=P_it)
                 if opt.keep_trace:
@@ -401,7 +395,7 @@ def _optimize_single(layout, H, P_T, N0, opt, W):
                     })
                 if obj_in > best_inner:
                     best_inner, best_W = obj_in, W_it
-                if inner_prev is not None and abs(obj_in - inner_prev) < TOL:
+                if abs(obj_in - inner_prev) < TOL:
                     break
                 inner_prev = obj_in
             W = best_W

@@ -29,14 +29,14 @@ SCHEMES = ("kkt_lmmse", "zf", "oracle_smallscale")
 DB_PER_BIT = np.log2(10.0) / 10.0  # high-SNR slope of log2(1+snr) per dB
 
 
-def symmetric_rate(rates, K: int, theta: int) -> float:
-    """Whole-plan symmetric rate: K * theta over the summed inverse rates."""
+def symmetric_rate(rates, K: int, theta: int, factor: float = 1.0) -> float:
+    """Whole-plan symmetric rate: K * theta over ``factor`` times the summed inverse rates."""
     rates = [float(r) for r in rates]
     if not rates:
         raise InputError("no per-transmission rates given")
     if any(r <= 0 for r in rates):
         raise InputError(f"non-positive per-transmission rate in {rates}")
-    return K * theta / sum(1.0 / r for r in rates)
+    return K * theta / (factor * sum(1.0 / r for r in rates))
 
 
 def fitted_stream_count(snr_db, mean_rates) -> float:
@@ -110,21 +110,20 @@ def run_scheme(scheme, layout, H, P_T, N0, options: SolverOptions, seed: int,
     raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
 
-def _sweep_job(config, plan, schemes, subsets, options, seed, oracle_restarts,
+def _sweep_job(config, schemes, transmissions, options, seed, oracle_restarts,
                snr_idx, snr_db, realization):
     """One (SNR point, realization): each scheme's rates over the selected
-    subsets (None where a solver failed or a rate was not positive) and the
-    merged solver diagnostics."""
+    ``(subset_idx, layout)`` transmissions (None where a solver failed or a
+    rate was not positive) and the merged solver diagnostics."""
     P_T = snr_to_power(snr_db, config.N0)
     cs = sample_channels(derive_seed(seed, 0), realization, config.K, config.G, config.L)
     diag = dict.fromkeys(INVARIANT_KEYS, 0.0)
     results = []
-    for scheme_idx, scheme in enumerate(schemes):
+    for scheme in schemes:
         rates: list | None = []
-        for subset_idx in subsets:
-            layout = layout_for_subset(plan, subset_idx)
+        for subset_idx, layout in transmissions:
             Hs = cs.H[list(layout.users)]
-            iseed = derive_seed(seed, 1, scheme_idx, snr_idx, realization, subset_idx)
+            iseed = derive_seed(seed, 1, SCHEMES.index(scheme), snr_idx, realization, subset_idx)
             try:
                 r, design = run_scheme(scheme, layout, Hs, P_T, config.N0, options, iseed,
                                        oracle_restarts)
@@ -169,6 +168,8 @@ def monte_carlo_sweep(config: NetworkConfig, plan: DeliveryPlan, schemes, snr_db
         raise ConfigError(f"seeds must be non-negative, got seed={seed}")
     if subset_sample is not None and subset_sample < 1:
         raise ConfigError(f"subset_sample must be >= 1, got {subset_sample}")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     options = replace(options or SolverOptions(), keep_trace=False)
 
     n_tx = plan.n_transmissions
@@ -180,10 +181,12 @@ def monte_carlo_sweep(config: NetworkConfig, plan: DeliveryPlan, schemes, snr_db
     factor = n_tx / len(subsets)
 
     t0 = time.time()
-    job = functools.partial(_sweep_job, config, plan, schemes, subsets, options, seed,
+    transmissions = tuple((i, layout_for_subset(plan, i)) for i in subsets)
+    job = functools.partial(_sweep_job, config, schemes, transmissions, options, seed,
                             oracle_restarts)
     points = [(i, snr, r) for i, snr in enumerate(snr_db) for r in range(n_realizations)]
-    if workers > 1 and len(points) > 1:
+    workers = min(workers, len(points))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(job, *zip(*points),
                                 chunksize=max(1, len(points) // (8 * workers))))
@@ -206,7 +209,7 @@ def monte_carlo_sweep(config: NetworkConfig, plan: DeliveryPlan, schemes, snr_db
     for scheme in schemes:
         for snr in snr_db:
             drawn = [report.rates.get((scheme, snr, r)) for r in range(n_realizations)]
-            ok = [config.K * plan.theta / (factor * sum(1.0 / x for x in rates))
+            ok = [symmetric_rate(rates, config.K, plan.theta, factor)
                   for rates in drawn if rates is not None]
             n_ok, n_failed = len(ok), n_realizations - len(ok)
             mean = float(np.mean(ok)) if ok else float("nan")

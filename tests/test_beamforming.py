@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -215,7 +216,7 @@ def test_update_duals_lambda_relation():
     v = np.array([[1.0]])
     eps = np.array([[0.5]])
     # zero gradient: common rate equals the stream rate
-    v2, lam = update_duals(v, eps, r_c=1.0, eta=0.1, layout=lay)
+    v2, lam = update_duals(v, eps, target=1.0, eta=0.1, layout=lay)
     assert v2[0, 0] == pytest.approx(1.0)
     assert lam[0, 0] == pytest.approx(1.0 / (0.5 * LN2))
     assert lam[0, 0] == pytest.approx(2.885390, abs=1e-5)
@@ -226,7 +227,7 @@ def test_update_duals_normalization_exact():
     lay = StreamLayout(users=(0, 1, 2), groups=((0, 1), (0, 2), (1, 2)), q=2)
     v = np.where(lay.member, rng.uniform(0.1, 1.0, lay.member.shape), 0.0)
     eps = np.where(lay.member, rng.uniform(0.05, 0.9, lay.member.shape), 0.0)
-    v2, lam = update_duals(v, eps, r_c=1.3, eta=0.2, layout=lay)
+    v2, lam = update_duals(v, eps, target=1.3, eta=0.2, layout=lay)
     sums = v2.sum(axis=1) / lay.q
     assert np.max(np.abs(sums - 1.0)) < 1e-12
     assert np.all(v2 >= 0) and np.all(lam >= 0)
@@ -238,8 +239,49 @@ def test_update_duals_dead_user_reset():
     eps = np.array([[0.9]])
     # large negative gradient keeps v at zero: uniform reset kicks in
     with pytest.warns(RuntimeWarning):
-        v2, _ = update_duals(v, eps, r_c=-10.0, eta=1.0, layout=lay)
+        v2, _ = update_duals(v, eps, target=-10.0, eta=1.0, layout=lay)
     assert v2[0, 0] == pytest.approx(1.0)
+
+
+def test_update_duals_scalar_target_broadcasts():
+    rng = np.random.default_rng(13)
+    lay = StreamLayout(users=(0, 1, 2), groups=((0, 1), (0, 2), (1, 2)), q=2)
+    v = np.where(lay.member, rng.uniform(0.1, 1.0, lay.member.shape), 0.0)
+    eps = np.where(lay.member, rng.uniform(0.05, 0.9, lay.member.shape), 0.0)
+    _, r_c = update_rates(v, eps, lay)
+    v_scalar, lam_scalar = update_duals(v, eps, r_c, 0.2, lay)
+    v_full, lam_full = update_duals(v, eps, np.full(lay.member.shape, r_c), 0.2, lay)
+    assert np.array_equal(v_scalar, v_full)
+    assert np.array_equal(lam_scalar, lam_full)
+
+
+def test_update_duals_per_stream_target_hand_step():
+    rng = np.random.default_rng(14)
+    lay = StreamLayout(users=(0, 1, 2), groups=((0, 1), (0, 2)), q=2)
+    v = np.where(lay.member, rng.uniform(0.1, 1.0, lay.member.shape), 0.0)
+    eps = np.where(lay.member, rng.uniform(0.05, 0.9, lay.member.shape), 0.0)
+    rates, _ = update_rates(v, eps, lay)
+    eta = 0.2
+    v2, lam = update_duals(v, eps, rates[:, lay.stream_slot], eta, lay)
+    # stream s carries slot s % q: its step goes toward that slot's rate
+    for u in range(lay.n_users):
+        streams = [s for s in range(lay.n_streams) if lay.member[u, s]]
+        step = {s: max(0.0, v[u, s] + eta * (rates[u, s % lay.q] + math.log2(eps[u, s])))
+                for s in streams}
+        total = sum(step.values())
+        for s in range(lay.n_streams):
+            want_v = step[s] * lay.q / total if s in streams else 0.0
+            want_lam = want_v / (eps[u, s] * LN2) if s in streams else 0.0
+            assert v2[u, s] == pytest.approx(want_v, rel=1e-14, abs=0.0)
+            assert lam[u, s] == pytest.approx(want_lam, rel=1e-14, abs=0.0)
+
+
+def test_group_counts():
+    pairs = StreamLayout(users=(0, 1, 2), groups=((0, 1), (0, 2), (1, 2)), q=1)
+    assert pairs.group_counts.tolist() == [2.0, 2.0, 2.0]
+    two_slots = StreamLayout(users=(0, 1, 2), groups=((0, 1), (0, 2)), q=2)
+    assert two_slots.group_counts.tolist() == [2.0, 1.0, 1.0]
+    assert np.array_equal(two_slots.member.sum(axis=1), 2 * two_slots.group_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +343,17 @@ def test_solver_trace_records():
     assert {"outer", "inner", "objective", "power", "mu", "stationarity", "r_c"} <= set(rec)
 
 
-@pytest.mark.parametrize("bad", [dict(max_outer=0), dict(n_restarts=0), dict(init_seed=-1)])
+@pytest.mark.parametrize("bad", [dict(max_outer=0), dict(n_restarts=0), dict(init_seed=-1),
+                                 dict(gradient="per_stream")])
 def test_solver_options_reject_bad_counts(bad):
     with pytest.raises(ConfigError):
         SolverOptions(**bad)
+
+
+def test_solver_options_frozen():
+    # options are checked once, when built, so a run never meets an unchecked value
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        SolverOptions().gradient = "per_stream"
 
 
 def test_restart_start_schedule(monkeypatch):

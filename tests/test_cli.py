@@ -2,6 +2,7 @@ import os
 import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ def test_simulate_writes_traces(ini, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "symmetric_rate=" in out
     assert os.path.exists(tmp_path / "out" / "trace_tx0.txt")
-    header = open(tmp_path / "out" / "trace_tx0.txt").readline().split()
+    header = (tmp_path / "out" / "trace_tx0.txt").read_text().splitlines()[0].split()
     assert header == ["outer", "inner", "objective", "power", "mu", "stationarity", "r_c"]
 
 
@@ -131,7 +132,7 @@ def test_simulate_oracle_scheme_runs_oracle(ini, monkeypatch, capsys):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(ccmimo.oracle, "max_rate_projected_gradient", counted)
-    text = open(ini).read()
+    text = Path(ini).read_text()
     with open(ini, "w") as fh:
         fh.write(text.replace("seed = 1", "seed = 1\noracle_restarts = 2"))
     assert main(["simulate", "--config", ini, "--snr", "10",
@@ -142,7 +143,7 @@ def test_simulate_oracle_scheme_runs_oracle(ini, monkeypatch, capsys):
 
 
 def test_unknown_solver_key_exit_code(ini, capsys):
-    text = open(ini).read()
+    text = Path(ini).read_text()
     for line in ("max_innr = 7", "user_weights = uniform", "step_size = 0.2", "init_seed = 3",
                  "mu_mode = closed_form"):
         with open(ini, "w") as fh:
@@ -166,8 +167,13 @@ def test_unknown_key_in_any_section_exit_code(tmp_path, capsys, after, line, whe
     assert where in capsys.readouterr().err
 
 
+def test_zero_workers_exit_code(ini, capsys):
+    assert main(["sweep", "--config", ini, "--workers", "0"]) == EXIT_CONFIG
+    assert "workers must be >= 1" in capsys.readouterr().err
+
+
 def test_zero_solver_counts_exit_code(ini, capsys):
-    text = open(ini).read()
+    text = Path(ini).read_text()
     with open(ini, "w") as fh:
         fh.write(text.replace("max_outer = 15", "max_outer = 0")
                  .replace("n_restarts = 1", "n_restarts = 0"))
@@ -180,7 +186,7 @@ def test_zero_solver_counts_exit_code(ini, capsys):
     ["simulate", "--snr", "10", "--scheme", "oracle_smallscale"],
 ])
 def test_no_oracle_restarts_exit_code(ini, capsys, argv):
-    text = open(ini).read()
+    text = Path(ini).read_text()
     with open(ini, "w") as fh:
         fh.write(text.replace("seed = 1", "seed = 1\noracle_restarts = 0"))
     assert main([argv[0], "--config", ini] + argv[1:]) == EXIT_CONFIG
@@ -199,7 +205,7 @@ def test_negative_seed_exit_code(ini, capsys, argv):
 
 
 def test_readme_run_config_loads(tmp_path):
-    readme = open(README).read()
+    readme = Path(README).read_text()
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     path = tmp_path / "run.ini"
     path.write_text(block)
@@ -209,7 +215,7 @@ def test_readme_run_config_loads(tmp_path):
 
 def test_readme_commands_parse(tmp_path):
     # every command line of the README's CLI block takes only flags its command has
-    blocks = [b.split("```", 1)[0] for b in open(README).read().split("```sh\n")[1:]]
+    blocks = [b.split("```", 1)[0] for b in Path(README).read_text().split("```sh\n")[1:]]
     block = next(b for b in blocks if b.startswith("ccmimo "))
     path = tmp_path / "run.ini"
     path.write_text("")
@@ -272,7 +278,7 @@ def test_flag_errors_exit_2(ini, argv):
     ("snr_db = 5,10", "snr_db = 5,ten"),
 ])
 def test_unparsable_value_exit_code(ini, capsys, line, bad):
-    text = open(ini).read()
+    text = Path(ini).read_text()
     assert line in text
     with open(ini, "w") as fh:
         fh.write(text.replace(line, bad))
@@ -301,7 +307,7 @@ def test_sweep_rerun_byte_identical(ini, tmp_path):
 
 
 def test_sweep_empty_snr_grid_exit_code(ini, capsys):
-    text = open(ini).read()
+    text = Path(ini).read_text()
     with open(ini, "w") as fh:
         fh.write(text.replace("snr_db = 5,10", "snr_db ="))
     assert main(["sweep", "--config", ini, "--workers", "1"]) == EXIT_CONFIG

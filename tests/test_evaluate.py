@@ -78,7 +78,7 @@ def test_sweep_empty():
 @pytest.mark.parametrize("bad", [
     dict(snr_db=[]), dict(schemes=[]), dict(n_realizations=-1),
     dict(subset_sample=0), dict(subset_sample=-1), dict(seed=-1),
-    dict(seed=-1, n_realizations=0),
+    dict(seed=-1, n_realizations=0), dict(workers=0),
 ])
 def test_sweep_rejects_bad_arguments(bad):
     cfg = NetworkConfig(K=3, L=2, G=2, N=3, M=1)
@@ -140,6 +140,41 @@ def test_sweep_parallel_matches_serial():
     a = small_sweep(workers=1)
     b = small_sweep(workers=2)
     assert a.to_csv() == b.to_csv()
+
+
+def test_sweep_pool_capped_at_job_count(monkeypatch):
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(ccmimo.evaluate, "ProcessPoolExecutor", SerialPool)
+    rep = small_sweep(workers=64, realizations=1)  # 2 SNR points x 1 realization
+    assert asked == [2]
+    assert rep.to_csv() == small_sweep(workers=1, realizations=1).to_csv()
+
+
+def test_scheme_seed_independent_of_list_position():
+    # each scheme draws the seed of its index in SCHEMES, so listing another
+    # scheme before the oracle leaves the oracle's rates unchanged
+    cfg = NetworkConfig(K=3, L=2, G=2, N=3, M=1)
+    plan = plan_transmissions(cfg, 2, 1, 1)
+
+    def oracle_rates(schemes):
+        rep = monte_carlo_sweep(cfg, plan, schemes, [15.0], 1, seed=77, oracle_restarts=4)
+        return rep.rates[("oracle_smallscale", 15.0, 0)]
+
+    assert oracle_rates(["kkt_lmmse", "oracle_smallscale"]) == oracle_rates(["oracle_smallscale"])
 
 
 def test_sweep_counts_singular_receivers_as_failed(monkeypatch):
