@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import derive_seed, require_finite, require_positive, seeded_rng
+from .channel import derive_seed, require_count, require_finite, require_positive, seeded_rng
 from .errors import ConfigError, SolverError
 
 LN2 = math.log(2.0)
@@ -54,6 +54,12 @@ class StreamLayout:
 
     def __post_init__(self):
         nU, nG, q = len(self.users), len(self.groups), self.q
+        require_count(1, q=q)
+        require_count(0, nU, **{f"groups[{g}][{j}]": u for g, T in enumerate(self.groups)
+                                for j, u in enumerate(T)})
+        if not all(self.groups) or any(len(set(T)) < len(T) for T in self.groups) \
+                or len(set().union(*self.groups)) < max(nU, 1):
+            raise ConfigError(f"groups {self.groups} must cover {nU} users, non-empty and distinct")
         member_groups = np.zeros((nU, nG), dtype=bool)
         for g, T in enumerate(self.groups):
             for u in T:
@@ -70,6 +76,7 @@ class StreamLayout:
 
 def layout_for_subset(plan, i: int) -> StreamLayout:
     """Stream layout of transmission i of a delivery plan."""
+    require_count(0, plan.n_transmissions, transmission=i)
     users = plan.serving_subsets[i]
     pos = {k: j for j, k in enumerate(users)}
     groups = tuple(tuple(pos[k] for k in T) for T in plan.groups[i])
@@ -294,9 +301,8 @@ class SolverOptions:
     def __post_init__(self):
         if self.gradient not in ("common_rate", "per_user"):
             raise ConfigError(f"gradient must be common_rate or per_user, got {self.gradient!r}")
-        for name, low in (("max_outer", 1), ("n_restarts", 1), ("init_seed", 0)):
-            if getattr(self, name) < low:
-                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        require_count(1, max_outer=self.max_outer, n_restarts=self.n_restarts)
+        require_count(0, init_seed=self.init_seed)
 
 
 @dataclass(eq=False)

@@ -8,6 +8,7 @@ users never disturbs the matrices of existing ones.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +17,8 @@ from .errors import ConfigError, InputError
 
 
 def _seed_sequence(seed: int, key) -> np.random.SeedSequence:
-    if seed < 0 or min(key, default=0) < 0:
-        raise ConfigError(f"seeds must be non-negative, got seed={seed} key={key}")
+    for value in (seed, *key):
+        require_count(0, seeds=value)
     return np.random.SeedSequence(seed, spawn_key=key)
 
 
@@ -44,6 +45,17 @@ def require_positive(**values):
             raise ConfigError(f"{name} must be positive and finite, got {value}")
 
 
+def require_count(least, below=math.inf, **values):
+    """Raise ConfigError unless every named value is an integer in [least, below):
+    numpy integers count, bools, None and floats (integral ones too) do not."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                or not least <= value < below:
+            span = (f"in [{least}, {below})" if below < math.inf
+                    else "non-negative" if least == 0 else f">= {least}")
+            raise ConfigError(f"{name} must be {span} (an integer), got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class ChannelSet:
     """One channel realization: a G x L complex matrix per user."""
@@ -53,8 +65,7 @@ class ChannelSet:
 
 def sample_channels(seed: int, realization: int, K: int, G: int, L: int) -> ChannelSet:
     """Draw a fresh realization of zero-mean unit-variance complex Gaussian channels."""
-    if min(K, G, L) < 1:
-        raise ConfigError(f"need K, G, L >= 1, got K={K}, G={G}, L={L}")
+    require_count(1, K=K, G=G, L=L)
     H = np.empty((K, G, L), dtype=np.complex128)
     for k in range(K):
         rng = seeded_rng(seed, realization, k)

@@ -225,7 +225,7 @@ def cmd_simulate(rc: RunConfig, args) -> int:
         path = os.path.join(rc.output.out_dir, f"trace_tx{i}.txt")
         try:
             r, design = run_scheme(scheme, layout, Hs, P_T, net.N0, rc.solver,
-                                   derive_seed(rc.sweep.seed, 1, i), rc.sweep.oracle_restarts)
+                                   rc.sweep.oracle_restarts, rc.sweep.seed, 0, 0, i)
         except SolverError as err:
             _write_trace(path, err.trace)
             print(f"solver failed on transmission {i}; trace at {path}: {err}")

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
-from .channel import require_positive
+from .channel import require_count, require_positive
 from .errors import ConfigError
 
 
@@ -30,20 +29,14 @@ class NetworkConfig:
     N0: float = 1.0
 
     def __post_init__(self):
-        # counts are real integers (numpy integers too, bools not)
-        for name, least in (("K", 1), ("L", 1), ("G", 1), ("N", 1), ("M", 0),
-                            ("file_size_bits", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        require_count(1, K=self.K, L=self.L, G=self.G, N=self.N, file_size_bits=self.file_size_bits)
+        require_count(0, M=self.M)
         require_positive(P_T=self.P_T, N0=self.N0)
         if (self.K * self.M) % self.N != 0:
             raise ConfigError(
                 f"cache budget K*M/N = {self.K}*{self.M}/{self.N} is not an integer"
             )
-        t = (self.K * self.M) // self.N
-        if not 0 <= t < self.K:
-            raise ConfigError(f"replication factor t = {t} must satisfy 0 <= t < K = {self.K}")
+        require_count(0, self.K, t=self.t)
 
     @property
     def t(self) -> int:

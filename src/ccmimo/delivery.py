@@ -12,12 +12,14 @@ byte for byte.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from math import comb
 from typing import Mapping, Sequence
 
+from .channel import require_count
 from .config import NetworkConfig
-from .errors import ConfigError, DeliveryError, InputError, PlanError
+from .errors import DeliveryError, InputError, PlanError
 
 
 def subpacketization(K: int, t: int, omega: int) -> int:
@@ -26,10 +28,8 @@ def subpacketization(K: int, t: int, omega: int) -> int:
     C(K,t) subfiles per file, each further split into C(K-t-1, omega-t-1)
     subpackets so that every transmission delivers fresh data.
     """
-    if not 0 <= t < K:
-        raise ConfigError(f"need 0 <= t < K, got t={t}, K={K}")
-    if not t + 1 <= omega <= K:
-        raise ConfigError(f"serving-set size {omega} outside [{t + 1}, {K}]")
+    require_count(0, K, t=t)
+    require_count(t + 1, K + 1, omega=omega)
     return comb(K, t) * comb(K - t - 1, omega - t - 1)
 
 
@@ -140,12 +140,11 @@ class DeliveryPlan:
 def plan_transmissions(config: NetworkConfig, omega: int, beta: int, q: int) -> DeliveryPlan:
     """Enumerate all serving subsets and schedule fresh subpackets for each group slot."""
     K, t, L = config.K, config.t, config.L
+    require_count(1, omega=omega, beta=beta, q=q)
     if not t + 1 <= omega <= t + L:
         raise PlanError(f"serving-set size {omega} outside [{t + 1}, {t + L}]")
     if omega > K:
         raise PlanError(f"serving-set size {omega} exceeds user count {K}")
-    if beta < 1 or q < 1:
-        raise PlanError(f"need beta >= 1 and q >= 1, got beta={beta}, q={q}")
     if q * comb(omega - 1, t) < beta:
         raise PlanError(
             f"q={q} substreams cannot carry beta={beta} streams per user "
@@ -207,13 +206,13 @@ class CodewordSet:
 def _normalize_requests(config: NetworkConfig, requests) -> tuple[int, ...]:
     if isinstance(requests, Mapping):
         requests = [requests[k] for k in range(config.K)]
-    requests = tuple(int(r) for r in requests)
+    requests = tuple(requests)
     if len(requests) != config.K:
         raise InputError(f"need one request per user, got {len(requests)} for K={config.K}")
     for k, r in enumerate(requests):
-        if not 0 <= r < config.N:
-            raise InputError(f"user {k} requests unknown file {r} (library has {config.N})")
-    return requests
+        if isinstance(r, bool) or not isinstance(r, numbers.Integral) or not 0 <= r < config.N:
+            raise InputError(f"user {k} requests unknown file {r!r} (library has {config.N})")
+    return tuple(int(r) for r in requests)
 
 
 def _subpacket(placement: PlacementMap, n: int, j: int, sigma: int, size: int) -> int:
@@ -251,6 +250,7 @@ def verify_decode(user: int, codewords: CodewordSet, placement: PlacementMap) ->
     codeword the schedule promises is absent.
     """
     plan = codewords.plan
+    require_count(0, plan.config.K, user=user)
     reqs = codewords.requests
     sp_bytes = codewords.subpacket_bytes
 

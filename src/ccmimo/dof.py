@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, floor
 
-from .errors import ConfigError, PlanError
+from .channel import require_count
+from .errors import PlanError
 
 
 def stream_bound(L: int, G: int, t: int, omega: int) -> float:
@@ -21,8 +22,7 @@ def stream_bound(L: int, G: int, t: int, omega: int) -> float:
     Capped by the receive dimensions G and by what the transmit side can
     keep separable across the omega-user serving set.
     """
-    if not t + 1 <= omega <= t + L:
-        raise ConfigError(f"serving-set size {omega} outside [{t + 1}, {t + L}]")
+    require_count(t + 1, t + L + 1, omega=omega)
     slots = comb(omega - 1, t)  # multicast slots per user per transmission
     return min(float(G), L * slots / (1.0 + (omega - t - 1) * slots))
 
@@ -46,22 +46,20 @@ class DofPlan:
 
 
 def _candidate(L: int, G: int, t: int, omega: int, beta=None, q=None) -> DofPlan:
+    require_count(1, **{k: v for k, v in (("beta", beta), ("q", q)) if v is not None})
     bound = stream_bound(L, G, t, omega)
     slots = comb(omega - 1, t)
     cap = min(G, floor(bound))
     if beta is None:
-        b = min(cap, q * slots) if q is not None else cap
-        b = max(b, 1) if cap >= 1 else b
-    else:
-        b = int(beta)
-        if b > cap:
-            raise PlanError(f"beta={b} exceeds the feasible bound {cap} at omega={omega}")
-    if b < 1:
+        beta = min(cap, q * slots) if q is not None else cap
+    elif beta > cap:
+        raise PlanError(f"beta={beta} exceeds the feasible bound {cap} at omega={omega}")
+    if beta < 1:
         raise PlanError(f"no feasible stream count at omega={omega} (bound {bound:.3f})")
-    qq = substream_count(b, omega, t) if q is None else int(q)
-    if qq * slots < b:
-        raise PlanError(f"q={qq} cannot carry beta={b} at omega={omega}")
-    return DofPlan(omega, b, qq, omega * b, bound, b % slots == 0)
+    q = substream_count(beta, omega, t) if q is None else q
+    if q * slots < beta:
+        raise PlanError(f"q={q} cannot carry beta={beta} at omega={omega}")
+    return DofPlan(omega, beta, q, omega * beta, bound, beta % slots == 0)
 
 
 def scan_dof(L: int, G: int, t: int, beta=None, q=None) -> list[DofPlan]:
@@ -83,8 +81,8 @@ def optimize_dof(L: int, G: int, t: int, omega=None, beta=None, q=None) -> DofPl
     ``beta`` or ``q`` pins the stream count or substream factor (a fixed
     q caps beta at q * C(omega-1, t)).
     """
-    if L < 1 or G < 1 or t < 0:
-        raise ConfigError(f"need L >= 1, G >= 1, t >= 0, got L={L}, G={G}, t={t}")
+    require_count(1, L=L, G=G)
+    require_count(0, t=t)
     if omega is not None:
         return _candidate(L, G, t, omega, beta=beta, q=q)
     # the scan runs up in omega, so the first maximum has the smallest one

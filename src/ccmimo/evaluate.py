@@ -19,7 +19,7 @@ import numpy as np
 from . import oracle
 from .beamforming import (INVARIANT_KEYS, SolverOptions, layout_for_subset,
                           merge_invariants, optimize, rate_objective, zf_beamformers)
-from .channel import derive_seed, sample_channels, seeded_rng, snr_to_power
+from .channel import derive_seed, require_count, sample_channels, seeded_rng, snr_to_power
 from .config import NetworkConfig
 from .delivery import DeliveryPlan
 from .errors import ConfigError, InputError, SolverError
@@ -91,23 +91,25 @@ class RateReport:
         return [p.mean_rsym for p in self.points if p.scheme == scheme]
 
 
-def run_scheme(scheme, layout, H, P_T, N0, options: SolverOptions, seed: int,
-               oracle_restarts: int):
+def run_scheme(scheme, layout, H, P_T, N0, options: SolverOptions, oracle_restarts: int,
+               seed: int, snr_idx: int, realization: int, subset_idx: int):
     """Worst-user rate of one transmission under one scheme, and the design
     behind it: a BeamformerState, a ZfResult, or the oracle's transmit set.
 
-    ``seed`` seeds the solver's initializations or the oracle's restarts.
+    The solver or oracle seed is derive_seed(seed, 1, SCHEMES.index(scheme),
+    snr_idx, realization, subset_idx), one key for sweeps and ``simulate``.
     """
+    if scheme not in SCHEMES:
+        raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    run_seed = derive_seed(seed, 1, SCHEMES.index(scheme), snr_idx, realization, subset_idx)
     if scheme == "kkt_lmmse":
-        st = optimize(layout, H, P_T, N0, options=replace(options, init_seed=seed))
+        st = optimize(layout, H, P_T, N0, options=replace(options, init_seed=run_seed))
         return st.objective, st
     if scheme == "zf":
         res = zf_beamformers(layout, H, P_T, N0)
         return rate_objective(res.W, H, layout, N0), res
-    if scheme == "oracle_smallscale":
-        return oracle.max_rate_projected_gradient(H, layout.groups, layout.q, P_T, N0,
-                                                  restarts=oracle_restarts, seed=seed)
-    raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    return oracle.max_rate_projected_gradient(H, layout.groups, layout.q, P_T, N0,
+                                              restarts=oracle_restarts, seed=run_seed)
 
 
 def _sweep_job(config, schemes, transmissions, options, seed, oracle_restarts,
@@ -123,10 +125,9 @@ def _sweep_job(config, schemes, transmissions, options, seed, oracle_restarts,
         rates: list | None = []
         for subset_idx, layout in transmissions:
             Hs = cs.H[list(layout.users)]
-            iseed = derive_seed(seed, 1, SCHEMES.index(scheme), snr_idx, realization, subset_idx)
             try:
-                r, design = run_scheme(scheme, layout, Hs, P_T, config.N0, options, iseed,
-                                       oracle_restarts)
+                r, design = run_scheme(scheme, layout, Hs, P_T, config.N0, options,
+                                       oracle_restarts, seed, snr_idx, realization, subset_idx)
             except SolverError:
                 rates = None
                 break
@@ -153,7 +154,7 @@ def monte_carlo_sweep(config: NetworkConfig, plan: DeliveryPlan, schemes, snr_db
     Realizations where a solver fails or a rate is non-positive are
     discarded and counted.  Deterministic for a fixed seed.  An empty scheme
     list or SNR grid, a negative realization count or seed, or a subset
-    sample below one is a ConfigError.
+    sample or worker count below one is a ConfigError.
     """
     schemes = list(schemes)
     snr_db = [float(s) for s in snr_db]
@@ -162,14 +163,9 @@ def monte_carlo_sweep(config: NetworkConfig, plan: DeliveryPlan, schemes, snr_db
             raise ConfigError(f"unknown scheme {s!r}; expected one of {SCHEMES}")
     if not schemes or not snr_db:
         raise ConfigError(f"empty sweep: schemes={schemes}, snr_db={snr_db}")
-    if n_realizations < 0:
-        raise ConfigError(f"n_realizations must be >= 0, got {n_realizations}")
-    if seed < 0:
-        raise ConfigError(f"seeds must be non-negative, got seed={seed}")
-    if subset_sample is not None and subset_sample < 1:
-        raise ConfigError(f"subset_sample must be >= 1, got {subset_sample}")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    require_count(0, n_realizations=n_realizations, seeds=seed)
+    require_count(1, workers=workers,
+                  **({} if subset_sample is None else {"subset_sample": subset_sample}))
     options = replace(options or SolverOptions(), keep_trace=False)
 
     n_tx = plan.n_transmissions

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import require_finite, require_positive, seeded_rng
-from .errors import ConfigError, SolverError
+from .channel import require_count, require_finite, require_positive, seeded_rng
+from .errors import SolverError
 
 
 def rate_with_ideal_receivers(W, H, groups, q, N0):
@@ -75,12 +75,11 @@ def max_rate_projected_gradient(H, groups, q, P_T, N0, restarts=200, seed=0,
     Forward-difference gradient on the real/imaginary parts of all
     transmit vectors, normalized-gradient steps with backtracking, and
     seeded random restarts.  Returns (best rate, best W); fewer than one
-    restart or a negative seed is a ConfigError.
+    restart or step, or a negative seed, is a ConfigError.
     """
     require_positive(P_T=P_T, N0=N0)
     require_finite(H)
-    if restarts < 1:
-        raise ConfigError(f"oracle restarts must be >= 1, got {restarts}")
+    require_count(1, max_steps=max_steps, **{"oracle restarts": restarts})
     n_streams = len(groups) * q
     L = H.shape[2]
     scale = np.sqrt(P_T)

@@ -344,7 +344,9 @@ def test_solver_trace_records():
 
 
 @pytest.mark.parametrize("bad", [dict(max_outer=0), dict(n_restarts=0), dict(init_seed=-1),
-                                 dict(gradient="per_stream")])
+                                 dict(gradient="per_stream"), dict(max_outer=2.5),
+                                 dict(n_restarts=2.5), dict(max_outer=True),
+                                 dict(init_seed=1.0)])
 def test_solver_options_reject_bad_counts(bad):
     with pytest.raises(ConfigError):
         SolverOptions(**bad)
@@ -406,6 +408,28 @@ def test_layout_for_subset_local_indices():
     assert lay.users == (0, 1, 3)
     assert all(max(T) < 3 for T in lay.groups)
     assert lay.n_streams == 3
+
+
+@pytest.mark.parametrize("users, groups, q", [
+    ((0, 1), ((0, 1),), 0), ((0, 1), ((0, 1),), 1.5), ((0, 1), ((0, 1),), True),
+    ((0, 1), (), 1),  # no group
+    ((0,), ((1,),), 1),  # local index out of range
+    ((0, 1), ((0, -1),), 1), ((0, 1), ((0.0, 1),), 1), ((0, 1), ((True, 0),), 1),
+    ((0, 1), ((0, 0),), 1),  # a user twice in one group
+    ((0, 1), ((0, 1), ()), 1),  # an empty group
+    ((0, 1, 2), ((0, 1),), 1),  # user 2 in no group
+])
+def test_stream_layout_rejects_bad_structure(users, groups, q):
+    with pytest.raises(ConfigError):
+        StreamLayout(users, groups, q)
+
+
+def test_layout_for_subset_rejects_bad_index():
+    plan = plan_transmissions(NetworkConfig(K=3, L=2, G=2, N=3, M=1), 2, 1, 1)
+    for i in (3, -1, 1.0, True):
+        with pytest.raises(ConfigError):
+            layout_for_subset(plan, i)
+    assert layout_for_subset(plan, np.int64(2)).users == (1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +512,9 @@ def test_singular_receiver_covariance_is_solver_error():
     with pytest.raises(SolverError, match="lmmse_receivers"):
         optimize(lay, H, 1e20, 1.0)
     with pytest.raises(SolverError, match="lmmse_receivers"):
-        run_scheme("zf", lay, H, 1e20, 1.0, SolverOptions(), 0, 1)
+        run_scheme("zf", lay, H, 1e20, 1.0, SolverOptions(), 1, 0, 0, 0, 0)
     with pytest.raises(SolverError, match="rate_with_ideal_receivers"):
-        run_scheme("oracle_smallscale", lay, H, 1e20, 1.0, SolverOptions(), 0, 1)
+        run_scheme("oracle_smallscale", lay, H, 1e20, 1.0, SolverOptions(), 1, 0, 0, 0, 0)
 
 
 def test_converted_solver_error_carries_trace(monkeypatch):

@@ -52,3 +52,10 @@ def test_snr_to_power():
 def test_negative_seed_is_config_error():
     with pytest.raises(ConfigError):
         sample_channels(-1, 0, 1, 1, 1)
+    # seeds and dimensions are integers: no floats, even integral ones, no bools
+    for args in ((1.5, 0, 2, 2, 2), (1, 0.0, 2, 2, 2), (1, 0, 1.5, 2, 2), (1, 0, 2, 2.0, 2),
+                 (1, 0, True, 2, 2)):
+        with pytest.raises(ConfigError):
+            sample_channels(*args)
+    # numpy integers are integers
+    assert sample_channels(np.int64(1), np.int32(0), np.int64(2), 2, 2).H.shape == (2, 2, 2)

@@ -10,7 +10,7 @@ import pytest
 import ccmimo
 from ccmimo import SolverError
 from ccmimo.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VERIFY, _build_parser,
-                        load_run_config, main)
+                        load_run_config, main, resolve_plan)
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
 
@@ -327,3 +327,34 @@ def test_dump_command(ini, capsys):
     out = capsys.readouterr().out
     assert out.startswith("plan K=4")
     assert "codeword group=" in out
+
+
+@pytest.mark.parametrize("scheme, n_restarts", [("kkt_lmmse", 3), ("oracle_smallscale", 1)])
+def test_simulate_matches_sweep_point(tmp_path, monkeypatch, capsys, scheme, n_restarts):
+    # simulate --snr X runs realization 0 of a sweep over the grid [X], with
+    # the same seed for every scheme run, so the per-transmission rates agree
+    path = tmp_path / "k3.ini"
+    path.write_text("[network]\nK = 3\nL = 2\nG = 2\nN = 3\nM = 1\n\n"
+                    f"[solver]\nmax_outer = 15\nn_restarts = {n_restarts}\n\n"
+                    "[sweep]\nseed = 77\noracle_restarts = 3\n\n"
+                    f"[output]\nout_dir = {tmp_path / 'out'}\n")
+    real, rates = ccmimo.cli.run_scheme, []
+
+    def recorded(*args, **kwargs):
+        out = real(*args, **kwargs)
+        rates.append(out[0])
+        return out
+
+    monkeypatch.setattr(ccmimo.cli, "run_scheme", recorded)
+    assert main(["simulate", "--config", str(path), "--snr", "15", "--scheme", scheme]) == EXIT_OK
+    printed = [line.split("rate=")[1].split()[0]
+               for line in capsys.readouterr().out.splitlines() if line.startswith("transmission")]
+
+    rc = load_run_config(str(path))
+    _, plan = resolve_plan(rc)
+    report = ccmimo.monte_carlo_sweep(rc.network, plan, [scheme], [15.0], 1, seed=77,
+                                      options=rc.solver, oracle_restarts=3)
+    want = report.rates[(scheme, 15.0, 0)]
+    assert len(want) == plan.n_transmissions == 3
+    assert tuple(rates) == want
+    assert printed == [f"{r:.4f}" for r in want]

@@ -42,6 +42,9 @@ def test_subpacketization_rejects_bad_omega():
         subpacketization(4, 1, 1)
     with pytest.raises(ConfigError):
         subpacketization(4, 1, 5)
+    for args in ((3, 1, 2.0), (3, 1.0, 2), (3, 3, 4)):
+        with pytest.raises(ConfigError):
+            subpacketization(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +105,7 @@ def test_non_integer_budget_is_config_error():
         NetworkConfig(K=3, L=3, G=1, N=2, M=1)  # K*M/N = 3/2
     # every count must be a real integer: no floats, even integral ones, no bools
     for bad in (dict(L=2.5), dict(K=4.0), dict(G=True), dict(N=4.0), dict(M=1.0),
-                dict(file_size_bits=8192.0), dict(K="4"), dict(P_T=nan),
+                dict(file_size_bits=8192.0), dict(K="4"), dict(K=None), dict(P_T=nan),
                 dict(P_T=inf), dict(N0=nan), dict(N0=inf)):
         with pytest.raises(ConfigError):
             NetworkConfig(**{**dict(K=4, L=3, G=2, N=4, M=1), **bad})
@@ -148,6 +151,11 @@ def test_plan_rejects_infeasible():
     cfg_small_L = make_config(4, 1, L=1)
     with pytest.raises(PlanError):
         plan_transmissions(cfg_small_L, 3, 1, 1)  # omega > t+L
+    # omega, beta and q are integers >= 1
+    cfg3 = make_config(3, 1)
+    for args in ((2.0, 1, 1), (2, 1.0, 1.0), (2, 1, 1.0), (2, 0, 1), (2, 1, 0), (2, True, 1)):
+        with pytest.raises(ConfigError):
+            plan_transmissions(cfg3, *args)
 
 
 def test_counting_identity_up_to_K12():
@@ -278,6 +286,15 @@ def test_codewords_reject_unknown_file():
     plan = plan_transmissions(cfg, 2, 1, 1)
     with pytest.raises(InputError):
         build_codewords(plan, [0, 5], pm)
+    # a request is a file index: an integer, not a float or a bool
+    cfg3 = make_config(3, 1)
+    pm3 = build_placement(cfg3, random_library(np.random.default_rng(6), 3, 33))
+    plan3 = plan_transmissions(cfg3, 2, 1, 1)
+    for bad in ([0.5, True, 2.9], [0, 1, 2.0], [0, True, 2], [0, 1, "2"]):
+        with pytest.raises(InputError):
+            build_codewords(plan3, bad, pm3)
+    # numpy integers are integers
+    assert build_codewords(plan3, np.arange(3), pm3).requests == (0, 1, 2)
 
 
 def test_substream_split_padding():
@@ -326,6 +343,15 @@ def test_decode_K4_random_kib():
     cw = build_codewords(plan, requests, pm)
     for k in range(4):
         assert verify_decode(k, cw, pm) == lib[requests[k]]
+
+
+def test_decode_rejects_bad_user():
+    cfg = make_config(3, 1)
+    pm = build_placement(cfg, random_library(np.random.default_rng(13), 3, 48))
+    cw = build_codewords(plan_transmissions(cfg, 2, 1, 1), [0, 1, 2], pm)
+    for user in (3, -1, 1.0, True):
+        with pytest.raises(ConfigError):
+            verify_decode(user, cw, pm)
 
 
 def test_decode_reports_missing_codeword():

@@ -17,6 +17,18 @@ def test_stream_bound_domain():
         stream_bound(3, 2, 1, 1)
     with pytest.raises(ConfigError):
         stream_bound(3, 2, 1, 5)
+    with pytest.raises(ConfigError):
+        stream_bound(3, 2, 1, 2.0)
+    # the planner's inputs and pins are counts as well
+    for args, pins in (((3.0, 2, 1), {}), ((2, True, 1), {}), ((2, 2, -1), {}),
+                       ((2, 2, 1), dict(omega=2.0)), ((2, 2, 1), dict(beta=1.5)),
+                       ((2, 2, 1), dict(q=1.0)), ((2, 2, 1), dict(omega=2, beta=1.5)),
+                       ((2, 2, 1), dict(omega=2, q=0)), ((2, 2, 1), dict(beta=0))):
+        with pytest.raises(ConfigError):
+            optimize_dof(*args, **pins)
+    for pins in (dict(beta=1.5), dict(q=True)):
+        with pytest.raises(ConfigError):
+            scan_dof(2, 2, 1, **pins)
 
 
 def test_stream_bound_monotone_in_L_and_G():

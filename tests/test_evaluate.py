@@ -79,6 +79,8 @@ def test_sweep_empty():
     dict(snr_db=[]), dict(schemes=[]), dict(n_realizations=-1),
     dict(subset_sample=0), dict(subset_sample=-1), dict(seed=-1),
     dict(seed=-1, n_realizations=0), dict(workers=0),
+    dict(n_realizations=1.5), dict(subset_sample=1.5), dict(seed=1.5), dict(workers=1.5),
+    dict(workers=True),
 ])
 def test_sweep_rejects_bad_arguments(bad):
     cfg = NetworkConfig(K=3, L=2, G=2, N=3, M=1)
@@ -220,7 +222,7 @@ def test_run_scheme_stress_only_typed_errors(scheme):
         for snr_db in (-20.0, 0.0, 30.0, 100.0, 200.0):
             P_T = 10.0 ** (snr_db / 10.0)
             try:
-                r, design = run_scheme(scheme, lay, H, P_T, 1.0, options, 5, 2)
+                r, design = run_scheme(scheme, lay, H, P_T, 1.0, options, 2, 5, 0, 0, 0)
             except (SolverError, InputError) as err:
                 outcomes.append((kind, snr_db, type(err).__name__))
                 continue
@@ -238,4 +240,4 @@ def test_run_scheme_stress_only_typed_errors(scheme):
     for P_T, N0 in ((0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (math.nan, 1.0),
                     (1.0, 0.0), (1.0, math.nan)):
         with pytest.raises(ConfigError):
-            run_scheme(scheme, lay, H, P_T, N0, options, 5, 2)
+            run_scheme(scheme, lay, H, P_T, N0, options, 2, 5, 0, 0, 0)

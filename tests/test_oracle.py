@@ -135,12 +135,18 @@ def test_no_restarts():
     H = sample_channels(7, 0, 2, 2, 2).H
     with pytest.raises(ConfigError):
         max_rate_projected_gradient(H, [(0, 1)], 2, 10.0, 1.0, restarts=0)
+    for bad in (dict(restarts=2.5), dict(restarts=True), dict(max_steps=0),
+                dict(max_steps=1.5)):
+        with pytest.raises(ConfigError):
+            max_rate_projected_gradient(H, [(0, 1)], 2, 10.0, 1.0, **{"restarts": 2, **bad})
 
 
 def test_negative_seed_is_config_error():
     H = sample_channels(7, 0, 2, 2, 2).H
     with pytest.raises(ConfigError, match="non-negative"):
         max_rate_projected_gradient(H, [(0, 1)], 2, 10.0, 1.0, restarts=2, seed=-1)
+    with pytest.raises(ConfigError):
+        max_rate_projected_gradient(H, [(0, 1)], 2, 10.0, 1.0, restarts=2, seed=1.5)
 
 
 def test_non_finite_channel_is_input_error():
