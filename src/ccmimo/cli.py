@@ -18,7 +18,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import get_type_hints
 
 from .beamforming import SolverOptions, layout_for_subset, zf_leakage
-from .channel import derive_seed, sample_channels, seeded_rng, snr_to_power
+from .channel import derive_seed, sample_channels, seeded_rng
 from .config import NetworkConfig
 from .delivery import (build_codewords, build_placement, dump_codewords,
                        dump_plan, freshness_audit, plan_transmissions, verify_decode)
@@ -214,7 +214,6 @@ def cmd_simulate(rc: RunConfig, args) -> int:
     dp, plan = resolve_plan(rc)
     scheme = args.scheme
     snr = net.snr_db if args.snr is None else args.snr
-    P_T = snr_to_power(snr, net.N0)
     cs = sample_channels(derive_seed(rc.sweep.seed, 0), 0, net.K, net.G, net.L)
     os.makedirs(rc.output.out_dir, exist_ok=True)
 
@@ -224,8 +223,8 @@ def cmd_simulate(rc: RunConfig, args) -> int:
         Hs = cs.H[list(layout.users)]
         path = os.path.join(rc.output.out_dir, f"trace_tx{i}.txt")
         try:
-            r, design = run_scheme(scheme, layout, Hs, P_T, net.N0, rc.solver,
-                                   rc.sweep.oracle_restarts, rc.sweep.seed, 0, 0, i)
+            r, design = run_scheme(scheme, layout, Hs, snr, net.N0, rc.solver,
+                                   rc.sweep.oracle_restarts, rc.sweep.seed, 0, i)
         except SolverError as err:
             _write_trace(path, err.trace)
             print(f"solver failed on transmission {i}; trace at {path}: {err}")

@@ -59,6 +59,7 @@ class PlacementMap:
 
     def cache_of(self, user: int) -> tuple[tuple[int, int], ...]:
         """All (file, subset index) pairs stored at a user."""
+        require_count(0, self.config.K, user=user)
         return tuple(
             (n, j)
             for n in range(self.config.N)
@@ -205,6 +206,8 @@ class CodewordSet:
 
 def _normalize_requests(config: NetworkConfig, requests) -> tuple[int, ...]:
     if isinstance(requests, Mapping):
+        if bad := set(requests) ^ set(range(config.K)):
+            raise InputError(f"requests miss or name unknown user(s) {sorted(bad, key=repr)}")
         requests = [requests[k] for k in range(config.K)]
     requests = tuple(requests)
     if len(requests) != config.K:

@@ -65,6 +65,8 @@ def _candidate(L: int, G: int, t: int, omega: int, beta=None, q=None) -> DofPlan
 def scan_dof(L: int, G: int, t: int, beta=None, q=None) -> list[DofPlan]:
     """All feasible serving-set sizes, in increasing order, each with its best
     stream count or the pinned ``beta``/``q``."""
+    require_count(1, L=L, G=G)
+    require_count(0, t=t)
     out = []
     for omega in range(t + 1, t + L + 1):
         try:

@@ -91,17 +91,21 @@ class RateReport:
         return [p.mean_rsym for p in self.points if p.scheme == scheme]
 
 
-def run_scheme(scheme, layout, H, P_T, N0, options: SolverOptions, oracle_restarts: int,
-               seed: int, snr_idx: int, realization: int, subset_idx: int):
-    """Worst-user rate of one transmission under one scheme, and the design
-    behind it: a BeamformerState, a ZfResult, or the oracle's transmit set.
+def run_scheme(scheme, layout, H, snr_db, N0, options: SolverOptions, oracle_restarts: int,
+               seed: int, realization: int, subset_idx: int):
+    """Worst-user rate of one transmission under one scheme at ``snr_db``, and
+    the design behind it: a BeamformerState, a ZfResult, or the oracle's transmit set.
 
-    The solver or oracle seed is derive_seed(seed, 1, SCHEMES.index(scheme),
-    snr_idx, realization, subset_idx), one key for sweeps and ``simulate``.
+    The power budget is snr_to_power(snr_db, N0).  The solver or oracle seed is
+    derive_seed(seed, 1, SCHEMES.index(scheme), snr_key, realization, subset_idx),
+    where snr_key is the float64 bit pattern of snr_db (-0.0 reads as 0.0): one
+    key for sweeps and ``simulate``, set by the SNR value, not its grid position.
     """
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    run_seed = derive_seed(seed, 1, SCHEMES.index(scheme), snr_idx, realization, subset_idx)
+    P_T = snr_to_power(snr_db, N0)
+    snr_key = int(np.float64(snr_db + 0.0).view(np.uint64))
+    run_seed = derive_seed(seed, 1, SCHEMES.index(scheme), snr_key, realization, subset_idx)
     if scheme == "kkt_lmmse":
         st = optimize(layout, H, P_T, N0, options=replace(options, init_seed=run_seed))
         return st.objective, st
@@ -113,32 +117,32 @@ def run_scheme(scheme, layout, H, P_T, N0, options: SolverOptions, oracle_restar
 
 
 def _sweep_job(config, schemes, transmissions, options, seed, oracle_restarts,
-               snr_idx, snr_db, realization):
-    """One (SNR point, realization): each scheme's rates over the selected
-    ``(subset_idx, layout)`` transmissions (None where a solver failed or a
-    rate was not positive) and the merged solver diagnostics."""
-    P_T = snr_to_power(snr_db, config.N0)
+               snr_db, realization):
+    """One realization over the whole SNR grid: the rates of each (scheme, SNR)
+    pair over the selected ``(subset_idx, layout)`` transmissions, keyed like
+    ``RateReport.rates`` and left out where a solver failed or a rate was not
+    positive, and the merged solver diagnostics."""
     cs = sample_channels(derive_seed(seed, 0), realization, config.K, config.G, config.L)
+    channels = [(i, layout, cs.H[list(layout.users)]) for i, layout in transmissions]
     diag = dict.fromkeys(INVARIANT_KEYS, 0.0)
-    results = []
-    for scheme in schemes:
-        rates: list | None = []
-        for subset_idx, layout in transmissions:
-            Hs = cs.H[list(layout.users)]
-            try:
-                r, design = run_scheme(scheme, layout, Hs, P_T, config.N0, options,
-                                       oracle_restarts, seed, snr_idx, realization, subset_idx)
-            except SolverError:
-                rates = None
-                break
-            if scheme == "kkt_lmmse":
-                merge_invariants(diag, design.diagnostics)
-            if not r > 0:
-                rates = None
-                break
-            rates.append(float(r))
-        results.append(None if rates is None else tuple(rates))
-    return results, diag
+    rates = {}
+    for snr in snr_db:
+        for scheme in schemes:
+            drawn = []
+            for subset_idx, layout, Hs in channels:
+                try:
+                    r, design = run_scheme(scheme, layout, Hs, snr, config.N0, options,
+                                           oracle_restarts, seed, realization, subset_idx)
+                except SolverError:
+                    break
+                if scheme == "kkt_lmmse":
+                    merge_invariants(diag, design.diagnostics)
+                if not r > 0:
+                    break
+                drawn.append(float(r))
+            else:
+                rates[(scheme, snr, realization)] = tuple(drawn)
+    return rates, diag
 
 
 def monte_carlo_sweep(config: NetworkConfig, plan: DeliveryPlan, schemes, snr_db,
@@ -147,7 +151,7 @@ def monte_carlo_sweep(config: NetworkConfig, plan: DeliveryPlan, schemes, snr_db
                       workers: int = 1) -> RateReport:
     """Paired Monte Carlo comparison of delivery schemes over an SNR grid.
 
-    Schemes share channel realizations at each (SNR, realization) pair.
+    Every scheme and SNR point shares the channel draw of a realization.
     ``subset_sample`` optimizes only that many serving subsets (seeded
     uniform pick) and extrapolates the summed inverse rates by
     n_transmissions / sample size; the report records the choice.
@@ -179,15 +183,14 @@ def monte_carlo_sweep(config: NetworkConfig, plan: DeliveryPlan, schemes, snr_db
     t0 = time.time()
     transmissions = tuple((i, layout_for_subset(plan, i)) for i in subsets)
     job = functools.partial(_sweep_job, config, schemes, transmissions, options, seed,
-                            oracle_restarts)
-    points = [(i, snr, r) for i, snr in enumerate(snr_db) for r in range(n_realizations)]
-    workers = min(workers, len(points))
+                            oracle_restarts, snr_db)
+    workers = min(workers, n_realizations)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(job, *zip(*points),
-                                chunksize=max(1, len(points) // (8 * workers))))
+            raw = list(pool.map(job, range(n_realizations),
+                                chunksize=max(1, n_realizations // (8 * workers))))
     else:
-        raw = [job(*p) for p in points]
+        raw = [job(r) for r in range(n_realizations)]
 
     report = RateReport(meta={
         "schemes": schemes, "snr_db": snr_db,
@@ -196,11 +199,9 @@ def monte_carlo_sweep(config: NetworkConfig, plan: DeliveryPlan, schemes, snr_db
         "extrapolation_factor": factor,
         "solver_diagnostics": dict.fromkeys(INVARIANT_KEYS, 0.0),
     })
-    for (_, snr, realization), (results, diag) in zip(points, raw):
+    for rates, diag in raw:
         merge_invariants(report.meta["solver_diagnostics"], diag)
-        for scheme, rates in zip(schemes, results):
-            if rates is not None:
-                report.rates[(scheme, snr, realization)] = rates
+        report.rates.update(rates)
 
     for scheme in schemes:
         for snr in snr_db:

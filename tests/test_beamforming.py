@@ -512,9 +512,9 @@ def test_singular_receiver_covariance_is_solver_error():
     with pytest.raises(SolverError, match="lmmse_receivers"):
         optimize(lay, H, 1e20, 1.0)
     with pytest.raises(SolverError, match="lmmse_receivers"):
-        run_scheme("zf", lay, H, 1e20, 1.0, SolverOptions(), 1, 0, 0, 0, 0)
+        run_scheme("zf", lay, H, 200.0, 1.0, SolverOptions(), 1, 0, 0, 0)
     with pytest.raises(SolverError, match="rate_with_ideal_receivers"):
-        run_scheme("oracle_smallscale", lay, H, 1e20, 1.0, SolverOptions(), 1, 0, 0, 0, 0)
+        run_scheme("oracle_smallscale", lay, H, 200.0, 1.0, SolverOptions(), 1, 0, 0, 0)
 
 
 def test_converted_solver_error_carries_trace(monkeypatch):

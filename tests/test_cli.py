@@ -329,10 +329,14 @@ def test_dump_command(ini, capsys):
     assert "codeword group=" in out
 
 
+@pytest.mark.parametrize("snr, grid", [("15", [15.0]), ("15", [5.0, 15.0]), ("-0.0", [0.0])],
+                         ids=["grid_15", "grid_5_15", "minus_zero"])
 @pytest.mark.parametrize("scheme, n_restarts", [("kkt_lmmse", 3), ("oracle_smallscale", 1)])
-def test_simulate_matches_sweep_point(tmp_path, monkeypatch, capsys, scheme, n_restarts):
-    # simulate --snr X runs realization 0 of a sweep over the grid [X], with
-    # the same seed for every scheme run, so the per-transmission rates agree
+def test_simulate_matches_sweep_point(tmp_path, monkeypatch, capsys, scheme, n_restarts,
+                                      snr, grid):
+    # simulate --snr X runs realization 0 of a sweep over any grid holding X
+    # (-0.0 dB is 0.0 dB), with the same seed for every scheme run, so the
+    # per-transmission rates agree
     path = tmp_path / "k3.ini"
     path.write_text("[network]\nK = 3\nL = 2\nG = 2\nN = 3\nM = 1\n\n"
                     f"[solver]\nmax_outer = 15\nn_restarts = {n_restarts}\n\n"
@@ -346,15 +350,15 @@ def test_simulate_matches_sweep_point(tmp_path, monkeypatch, capsys, scheme, n_r
         return out
 
     monkeypatch.setattr(ccmimo.cli, "run_scheme", recorded)
-    assert main(["simulate", "--config", str(path), "--snr", "15", "--scheme", scheme]) == EXIT_OK
+    assert main(["simulate", "--config", str(path), "--snr", snr, "--scheme", scheme]) == EXIT_OK
     printed = [line.split("rate=")[1].split()[0]
                for line in capsys.readouterr().out.splitlines() if line.startswith("transmission")]
 
     rc = load_run_config(str(path))
     _, plan = resolve_plan(rc)
-    report = ccmimo.monte_carlo_sweep(rc.network, plan, [scheme], [15.0], 1, seed=77,
+    report = ccmimo.monte_carlo_sweep(rc.network, plan, [scheme], grid, 1, seed=77,
                                       options=rc.solver, oracle_restarts=3)
-    want = report.rates[(scheme, 15.0, 0)]
+    want = report.rates[(scheme, float(snr), 0)]
     assert len(want) == plan.n_transmissions == 3
     assert tuple(rates) == want
     assert printed == [f"{r:.4f}" for r in want]

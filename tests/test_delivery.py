@@ -295,6 +295,12 @@ def test_codewords_reject_unknown_file():
             build_codewords(plan3, bad, pm3)
     # numpy integers are integers
     assert build_codewords(plan3, np.arange(3), pm3).requests == (0, 1, 2)
+    # a request map names users 0..K-1, each once
+    for bad, user in (({0: 1, 1: 2}, r"\[2\]"), ({0: 1, 1: 2, 2: 0, 3: 1}, r"\[3\]"),
+                      ({0: 1, 1: 2, -1: 0}, r"\[-1, 2\]")):
+        with pytest.raises(InputError, match=user):
+            build_codewords(plan3, bad, pm3)
+    assert build_codewords(plan3, {2: 0, 0: 1, 1: 2}, pm3).requests == (1, 2, 0)
 
 
 def test_substream_split_padding():
@@ -349,9 +355,14 @@ def test_decode_rejects_bad_user():
     cfg = make_config(3, 1)
     pm = build_placement(cfg, random_library(np.random.default_rng(13), 3, 48))
     cw = build_codewords(plan_transmissions(cfg, 2, 1, 1), [0, 1, 2], pm)
-    for user in (3, -1, 1.0, True):
+    for user in (3, 7, -1, 1.0, True):
         with pytest.raises(ConfigError):
             verify_decode(user, cw, pm)
+        # the placement's per-user views check the user the same way
+        with pytest.raises(ConfigError):
+            pm.cache_of(user)
+        with pytest.raises(ConfigError):
+            pm.cached_bytes(user)
 
 
 def test_decode_reports_missing_codeword():

@@ -29,6 +29,11 @@ def test_stream_bound_domain():
     for pins in (dict(beta=1.5), dict(q=True)):
         with pytest.raises(ConfigError):
             scan_dof(2, 2, 1, **pins)
+    # the scan checks L, G and t itself, and so does the table built on it
+    for args in ((2.0, 2, 1), (2, 2.0, 1), (2, 2, -1), (0, 2, 1), (2, 2, True)):
+        for scan in (scan_dof, format_scan_table):
+            with pytest.raises(ConfigError):
+                scan(*args)
 
 
 def test_stream_bound_monotone_in_L_and_G():

@@ -161,9 +161,14 @@ def test_sweep_pool_capped_at_job_count(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(ccmimo.evaluate, "ProcessPoolExecutor", SerialPool)
-    rep = small_sweep(workers=64, realizations=1)  # 2 SNR points x 1 realization
-    assert asked == [2]
-    assert rep.to_csv() == small_sweep(workers=1, realizations=1).to_csv()
+    # one job per realization, each over the whole 2-point SNR grid
+    rep = small_sweep(workers=64, realizations=3)
+    assert asked == [3]
+    assert rep.to_csv() == small_sweep(workers=1, realizations=3).to_csv()
+    # a single realization is one job, run without a pool
+    assert small_sweep(workers=64, realizations=1).to_csv() \
+        == small_sweep(workers=1, realizations=1).to_csv()
+    assert asked == [3]
 
 
 def test_scheme_seed_independent_of_list_position():
@@ -222,7 +227,7 @@ def test_run_scheme_stress_only_typed_errors(scheme):
         for snr_db in (-20.0, 0.0, 30.0, 100.0, 200.0):
             P_T = 10.0 ** (snr_db / 10.0)
             try:
-                r, design = run_scheme(scheme, lay, H, P_T, 1.0, options, 2, 5, 0, 0, 0)
+                r, design = run_scheme(scheme, lay, H, snr_db, 1.0, options, 2, 5, 0, 0)
             except (SolverError, InputError) as err:
                 outcomes.append((kind, snr_db, type(err).__name__))
                 continue
@@ -235,9 +240,9 @@ def test_run_scheme_stress_only_typed_errors(scheme):
     # moderate SNR always solves
     assert all(o[2] == "InputError" for o in outcomes if o[0] == "nan")
     assert ("random", 0.0, "ok") in outcomes
-    # so is a power budget or noise level that is not positive and finite
+    # so is an SNR whose power budget, or a noise level, is not positive and finite
     H = _stress_channel("random", rng)
-    for P_T, N0 in ((0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (math.nan, 1.0),
-                    (1.0, 0.0), (1.0, math.nan)):
+    for snr_db, N0 in ((-math.inf, 1.0), (math.inf, 1.0), (math.nan, 1.0),
+                       (0.0, 0.0), (0.0, math.nan)):
         with pytest.raises(ConfigError):
-            run_scheme(scheme, lay, H, P_T, N0, options, 2, 5, 0, 0, 0)
+            run_scheme(scheme, lay, H, snr_db, N0, options, 2, 5, 0, 0)

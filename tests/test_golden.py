@@ -1,0 +1,72 @@
+"""Golden outputs: seeded results compared bit for bit against tests/golden.json.
+
+Floats are stored as ``float.hex`` strings, so a comparison is exact.  After a
+change that is meant to move these numbers, regenerate the file with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and say in the change description which values moved and why.
+"""
+
+import hashlib
+import json
+from dataclasses import replace
+from pathlib import Path
+
+from ccmimo import (NetworkConfig, SolverOptions, StreamLayout, monte_carlo_sweep,
+                    optimize, plan_transmissions, sample_channels)
+
+GOLDEN = Path(__file__).with_name("golden.json")
+
+
+def criterion_9_digests():
+    """sha256 of the criterion-9 sweep's CSV and of its plot data."""
+    cfg = NetworkConfig(K=3, L=2, G=2, N=3, M=1)
+    plan = plan_transmissions(cfg, 2, 1, 1)
+    rep = monte_carlo_sweep(cfg, plan, ["kkt_lmmse", "zf"], [5.0, 15.0], 3,
+                            seed=77, options=SolverOptions(max_outer=15))
+    return {"csv_sha256": hashlib.sha256(rep.to_csv().encode()).hexdigest(),
+            "plot_data_sha256": hashlib.sha256(rep.plot_data().encode()).hexdigest()}
+
+
+def rates_at_15_db(grid):
+    """Realization 2's per-transmission kkt rates at 15 dB of a seed-77 sweep."""
+    cfg = NetworkConfig(K=3, L=2, G=2, N=3, M=1)
+    plan = plan_transmissions(cfg, 2, 1, 1)
+    rep = monte_carlo_sweep(cfg, plan, ["kkt_lmmse"], grid, 3, seed=77,
+                            options=SolverOptions(max_outer=15, n_restarts=3))
+    return [r.hex() for r in rep.rates[("kkt_lmmse", 15.0, 2)]]
+
+
+def criterion_4_objectives():
+    """Solver objectives on criterion 4's channels 0 and 1 (20 dB, q = 2)."""
+    lay = StreamLayout(users=(0, 1), groups=((0, 1),), q=2)
+    opts = SolverOptions(n_restarts=16, max_outer=60, gradient="per_user")
+    return [optimize(lay, sample_channels(20, c, 2, 2, 2).H, 100.0, 1.0,
+                     options=replace(opts, init_seed=c)).objective.hex() for c in (0, 1)]
+
+
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_criterion_9_digests():
+    assert criterion_9_digests() == golden()["criterion_9"]
+
+
+def test_rates_independent_of_grid():
+    want = golden()["kkt_rates_15db_realization_2"]
+    assert rates_at_15_db([15.0]) == want
+    assert rates_at_15_db([5.0, 15.0]) == want
+
+
+def test_criterion_4_objectives():
+    assert criterion_4_objectives() == golden()["criterion_4_objectives"]
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps({"criterion_9": criterion_9_digests(),
+                                  "kkt_rates_15db_realization_2": rates_at_15_db([15.0]),
+                                  "criterion_4_objectives": criterion_4_objectives()},
+                                 indent=2) + "\n")
+    print(f"wrote {GOLDEN}")
