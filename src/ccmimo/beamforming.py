@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import derive_seed, require_count, require_finite, require_positive, seeded_rng
-from .errors import ConfigError, SolverError
+from .channel import derive_seed, require_count, require_positive, seeded_rng
+from .errors import ConfigError, InputError, SolverError
 
 LN2 = math.log(2.0)
 MU_FLOOR = 1e-12
@@ -81,6 +82,16 @@ def layout_for_subset(plan, i: int) -> StreamLayout:
     pos = {k: j for j, k in enumerate(users)}
     groups = tuple(tuple(pos[k] for k in T) for T in plan.groups[i])
     return StreamLayout(users, groups, plan.q)
+
+
+def require_problem(layout: StreamLayout, H, P_T, N0):
+    """The input check of every solve: P_T and N0 positive and finite, every entry
+    of H finite (an InputError), and one (G, L) matrix in H per user of ``layout``."""
+    require_positive(P_T=P_T, N0=N0)
+    if not np.all(np.isfinite(H)):
+        raise InputError("channel matrices must be finite, found NaN or inf")
+    if np.ndim(H) != 3 or len(H) != layout.n_users:
+        raise ConfigError(f"channel set of shape {np.shape(H)} must be ({layout.n_users}, G, L)")
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +289,19 @@ TOL = 1e-4  # objective change counted as no progress, inner and outer
 PATIENCE = 3  # consecutive sub-tolerance refreshes before stopping
 USER_WEIGHT_STEP = 0.5  # exponentiated step of the per-user priority weights
 
-# solver diagnostics that hold per run; a merge keeps the worst value
-INVARIANT_KEYS = ("power_overrun", "dual_norm_err", "stationarity", "outer_decrease")
+# solver diagnostics, each with its start value and its merge across runs:
+# an invariant that holds per run keeps the worst value, a count the sum
+DIAGNOSTICS = {"power_overrun": (0.0, max), "dual_norm_err": (0.0, max),
+               "stationarity": (0.0, max), "outer_decrease": (0.0, max),
+               "outer_iterations": (0, operator.add)}
 
 
-def merge_invariants(into: dict, diag: dict):
-    """Fold the invariant diagnostics of ``diag`` into ``into``, worst value wins."""
-    for key in INVARIANT_KEYS:
-        into[key] = max(into[key], diag[key])
+def merge_diagnostics(diags) -> dict:
+    """The diagnostics of several runs merged by DIAGNOSTICS; the start values for none."""
+    merged = {key: start for key, (start, _) in DIAGNOSTICS.items()}
+    for diag in diags:
+        merged = {key: merge(merged[key], diag[key]) for key, (_, merge) in DIAGNOSTICS.items()}
+    return merged
 
 
 @dataclass(frozen=True)
@@ -346,7 +362,7 @@ def _optimize_single(layout, H, P_T, N0, opt, W):
     lam = v.copy()
     z = np.full(nU, 1.0 / nU)  # per-user priority weights
     trace: list = []
-    diag = dict(dict.fromkeys(INVARIANT_KEYS, 0.0), outer_iterations=0)
+    diag = merge_diagnostics(())
 
     # the dual step's target, fixed per run: the common rate or each stream's slot rate
     target_of = {"common_rate": lambda rates, r_c: r_c,
@@ -424,21 +440,17 @@ def optimize(layout: StreamLayout, H, P_T, N0, options: SolverOptions | None = N
     the current receivers, so the objective seen after each receiver
     refresh is non-decreasing.  Restart r starts from the group-SVD
     directions (r=0), the zero-forcing design (r=1) or a random draw seeded
-    by derive_seed(init_seed, r); the best result is kept, and invariant
-    diagnostics are merged across restarts.
+    by derive_seed(init_seed, r); the best result is kept, with the
+    diagnostics of all restarts merged by DIAGNOSTICS.
 
     Returns a BeamformerState whose ``objective`` is the worst-user rate
-    of the final transmit vectors under their own LMMSE receivers.  A channel
-    with NaN or inf entries is an InputError.
+    of the final transmit vectors under their own LMMSE receivers.  Inputs
+    are checked by require_problem.
     """
     opt = options or SolverOptions()
-    require_positive(P_T=P_T, N0=N0)
-    require_finite(H)
-    if H.shape[0] != layout.n_users:
-        raise ConfigError(f"channel set has {H.shape[0]} users, layout expects {layout.n_users}")
+    require_problem(layout, H, P_T, N0)
 
-    best = None
-    merged = dict(dict.fromkeys(INVARIANT_KEYS, 0.0), outer_iterations=0)
+    states = []
     for r in range(opt.n_restarts):
         # two structured starts (group-SVD, zero-forcing), then seeded random
         # ones; the nulling start matters at high SNR where interference dominates
@@ -451,12 +463,9 @@ def optimize(layout: StreamLayout, H, P_T, N0, options: SolverOptions | None = N
             shape = (layout.n_streams, H.shape[2])
             W0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             W0 *= np.sqrt(P_T / tx_power(W0))
-        state = _optimize_single(layout, H, P_T, N0, opt, W0)
-        merge_invariants(merged, state.diagnostics)
-        merged["outer_iterations"] += state.diagnostics["outer_iterations"]
-        if best is None or state.objective > best.objective:
-            best = state
-    best.diagnostics.update(merged)
+        states.append(_optimize_single(layout, H, P_T, N0, opt, W0))
+    best = max(states, key=lambda state: state.objective)  # the first of equals
+    best.diagnostics = merge_diagnostics(state.diagnostics for state in states)
     return best
 
 
@@ -484,9 +493,9 @@ def zf_beamformers(layout: StreamLayout, H, P_T, N0) -> ZfResult:
     ridge N0 * n_streams / P_T.  Streams get equal power P_T / n_streams.
     Raises SolverError when a stream's group has no channel gain along its
     direction (an all-zero channel, say), which leaves nothing to normalize.
+    Inputs are checked by require_problem.
     """
-    require_positive(P_T=P_T, N0=N0)
-    require_finite(H)
+    require_problem(layout, H, P_T, N0)
     nU, nS = layout.n_users, layout.n_streams
     G, L = H.shape[1], H.shape[2]
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError
 
 
 def _seed_sequence(seed: int, key) -> np.random.SeedSequence:
@@ -30,12 +30,6 @@ def derive_seed(seed: int, *key: int) -> int:
 def seeded_rng(seed: int, *key: int) -> np.random.Generator:
     """A generator for the named substream ``key`` of ``seed``."""
     return np.random.default_rng(_seed_sequence(seed, key))
-
-
-def require_finite(H):
-    """Raise InputError unless every entry of the channel matrices is finite."""
-    if not np.all(np.isfinite(H)):
-        raise InputError("channel matrices must be finite, found NaN or inf")
 
 
 def require_positive(**values):
@@ -77,4 +71,7 @@ def sample_channels(seed: int, realization: int, K: int, G: int, L: int) -> Chan
 def snr_to_power(snr_db: float, N0: float) -> float:
     """Transmit power budget that realizes a target SNR over noise level N0."""
     require_positive(N0=N0)
-    return N0 * 10.0 ** (snr_db / 10.0)
+    try:
+        return N0 * 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        raise ConfigError(f"SNR {snr_db} dB overflows the power budget") from None

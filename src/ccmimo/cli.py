@@ -18,13 +18,13 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import get_type_hints
 
 from .beamforming import SolverOptions, layout_for_subset, zf_leakage
-from .channel import derive_seed, sample_channels, seeded_rng
+from .channel import seeded_rng
 from .config import NetworkConfig
 from .delivery import (build_codewords, build_placement, dump_codewords,
                        dump_plan, freshness_audit, plan_transmissions, verify_decode)
 from .dof import format_scan_table, optimize_dof
 from .errors import ConfigError, DeliveryError, InputError, PlanError, SolverError
-from .evaluate import monte_carlo_sweep, run_scheme, symmetric_rate
+from .evaluate import draw_transmissions, monte_carlo_sweep, run_scheme, symmetric_rate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -212,15 +212,13 @@ def cmd_verify_delivery(rc: RunConfig, args) -> int:
 def cmd_simulate(rc: RunConfig, args) -> int:
     net = rc.network
     dp, plan = resolve_plan(rc)
-    scheme = args.scheme
-    snr = net.snr_db if args.snr is None else args.snr
-    cs = sample_channels(derive_seed(rc.sweep.seed, 0), 0, net.K, net.G, net.L)
+    scheme, snr = args.scheme, args.snr
+    transmissions = [(i, layout_for_subset(plan, i)) for i in range(plan.n_transmissions)]
+    channels = draw_transmissions(net, rc.sweep.seed, 0, transmissions)
     os.makedirs(rc.output.out_dir, exist_ok=True)
 
     rates = []
-    for i in range(plan.n_transmissions):
-        layout = layout_for_subset(plan, i)
-        Hs = cs.H[list(layout.users)]
+    for i, layout, Hs in channels:
         path = os.path.join(rc.output.out_dir, f"trace_tx{i}.txt")
         try:
             r, design = run_scheme(scheme, layout, Hs, snr, net.N0, rc.solver,
@@ -317,7 +315,7 @@ def _build_parser():
         sp.add_argument("--out", dest="out_dir", metavar="OUT", help="override output.out_dir")
     verify.add_argument("--corrupt", action="store_true",
                         help="test mode: corrupt one codeword, expect FAIL")
-    simulate.add_argument("--snr", type=float, help="SNR in dB (default: network P_T/N0)")
+    simulate.add_argument("--snr", type=float, required=True, help="SNR in dB")
     simulate.add_argument("--scheme", default="kkt_lmmse", help="default: kkt_lmmse")
     sweep.add_argument("--snr", type=float, nargs="+", dest="snr_db", metavar="SNR",
                        help="override sweep.snr_db (dB)")

@@ -16,7 +16,8 @@ class NetworkConfig:
     with G receive dimensions and a cache of M files out of a library of
     N equal-sized files.  The cumulative cache budget K*M/N must be an
     integer t: every file fragment is replicated at exactly t users.
-    Power and noise are linear-scale quantities.
+    N0 is the linear-scale noise level; the transmit power is not part of
+    the scenario but set per run from an SNR (channel.snr_to_power).
     """
 
     K: int
@@ -25,13 +26,12 @@ class NetworkConfig:
     N: int
     M: int
     file_size_bits: int = 8192
-    P_T: float = 1.0
     N0: float = 1.0
 
     def __post_init__(self):
         require_count(1, K=self.K, L=self.L, G=self.G, N=self.N, file_size_bits=self.file_size_bits)
         require_count(0, M=self.M)
-        require_positive(P_T=self.P_T, N0=self.N0)
+        require_positive(N0=self.N0)
         if (self.K * self.M) % self.N != 0:
             raise ConfigError(
                 f"cache budget K*M/N = {self.K}*{self.M}/{self.N} is not an integer"
@@ -42,10 +42,3 @@ class NetworkConfig:
     def t(self) -> int:
         """Cache replication factor K*M/N (number of users holding each fragment)."""
         return (self.K * self.M) // self.N
-
-    @property
-    def snr_db(self) -> float:
-        """Operating SNR implied by P_T and N0, in dB."""
-        import math
-
-        return 10.0 * math.log10(self.P_T / self.N0)

@@ -185,23 +185,13 @@ class CodewordSet:
 
     Subpackets are sized so every subfile, zero-padded, splits into
     ``n_subpackets`` of them, and every codeword splits evenly into q
-    substream payloads of ``slice_bytes`` each.
+    substream payloads.
     """
 
     plan: DeliveryPlan
     requests: tuple[int, ...]
     subpacket_bytes: int
     codewords: dict = field(repr=False)
-
-    @property
-    def slice_bytes(self) -> int:
-        return self.subpacket_bytes // self.plan.q
-
-    def substreams(self, i: int, T: tuple[int, ...]) -> tuple[bytes, ...]:
-        """The q equal-length substream payloads of one codeword."""
-        x = self.codewords[(i, T)]
-        w = self.slice_bytes
-        return tuple(x[j * w : (j + 1) * w] for j in range(self.plan.q))
 
 
 def _normalize_requests(config: NetworkConfig, requests) -> tuple[int, ...]:

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import oracle
-from .beamforming import (INVARIANT_KEYS, SolverOptions, layout_for_subset,
-                          merge_invariants, optimize, rate_objective, zf_beamformers)
+from .beamforming import (SolverOptions, layout_for_subset, merge_diagnostics, optimize,
+                          rate_objective, zf_beamformers)
 from .channel import derive_seed, require_count, sample_channels, seeded_rng, snr_to_power
 from .config import NetworkConfig
 from .delivery import DeliveryPlan
@@ -96,7 +96,8 @@ def run_scheme(scheme, layout, H, snr_db, N0, options: SolverOptions, oracle_res
     """Worst-user rate of one transmission under one scheme at ``snr_db``, and
     the design behind it: a BeamformerState, a ZfResult, or the oracle's transmit set.
 
-    The power budget is snr_to_power(snr_db, N0).  The solver or oracle seed is
+    The power budget is snr_to_power(snr_db, N0); every input is checked by
+    beamforming.require_problem, in the solver or oracle.  The solver or oracle seed is
     derive_seed(seed, 1, SCHEMES.index(scheme), snr_key, realization, subset_idx),
     where snr_key is the float64 bit pattern of snr_db (-0.0 reads as 0.0): one
     key for sweeps and ``simulate``, set by the SNR value, not its grid position.
@@ -116,15 +117,21 @@ def run_scheme(scheme, layout, H, snr_db, N0, options: SolverOptions, oracle_res
                                               restarts=oracle_restarts, seed=run_seed)
 
 
+def draw_transmissions(config: NetworkConfig, seed: int, realization: int, transmissions):
+    """Each ``(subset_idx, layout)`` transmission as ``(subset_idx, layout, H)``, H its
+    users' rows of the channel draw of ``realization`` (channel substream of ``seed``)."""
+    cs = sample_channels(derive_seed(seed, 0), realization, config.K, config.G, config.L)
+    return [(i, layout, cs.H[list(layout.users)]) for i, layout in transmissions]
+
+
 def _sweep_job(config, schemes, transmissions, options, seed, oracle_restarts,
                snr_db, realization):
     """One realization over the whole SNR grid: the rates of each (scheme, SNR)
     pair over the selected ``(subset_idx, layout)`` transmissions, keyed like
     ``RateReport.rates`` and left out where a solver failed or a rate was not
     positive, and the merged solver diagnostics."""
-    cs = sample_channels(derive_seed(seed, 0), realization, config.K, config.G, config.L)
-    channels = [(i, layout, cs.H[list(layout.users)]) for i, layout in transmissions]
-    diag = dict.fromkeys(INVARIANT_KEYS, 0.0)
+    channels = draw_transmissions(config, seed, realization, transmissions)
+    diags = []
     rates = {}
     for snr in snr_db:
         for scheme in schemes:
@@ -136,13 +143,13 @@ def _sweep_job(config, schemes, transmissions, options, seed, oracle_restarts,
                 except SolverError:
                     break
                 if scheme == "kkt_lmmse":
-                    merge_invariants(diag, design.diagnostics)
+                    diags.append(design.diagnostics)
                 if not r > 0:
                     break
                 drawn.append(float(r))
             else:
                 rates[(scheme, snr, realization)] = tuple(drawn)
-    return rates, diag
+    return rates, merge_diagnostics(diags)
 
 
 def monte_carlo_sweep(config: NetworkConfig, plan: DeliveryPlan, schemes, snr_db,
@@ -156,7 +163,8 @@ def monte_carlo_sweep(config: NetworkConfig, plan: DeliveryPlan, schemes, snr_db
     uniform pick) and extrapolates the summed inverse rates by
     n_transmissions / sample size; the report records the choice.
     Realizations where a solver fails or a rate is non-positive are
-    discarded and counted.  Deterministic for a fixed seed.  An empty scheme
+    discarded and counted; ``meta["solver_diagnostics"]`` merges every
+    kkt_lmmse run's.  Deterministic for a fixed seed.  An empty scheme
     list or SNR grid, a negative realization count or seed, or a subset
     sample or worker count below one is a ConfigError.
     """
@@ -197,10 +205,9 @@ def monte_carlo_sweep(config: NetworkConfig, plan: DeliveryPlan, schemes, snr_db
         "n_realizations": n_realizations, "seed": seed,
         "n_transmissions": n_tx, "subsets_used": list(subsets),
         "extrapolation_factor": factor,
-        "solver_diagnostics": dict.fromkeys(INVARIANT_KEYS, 0.0),
+        "solver_diagnostics": merge_diagnostics(diag for _, diag in raw),
     })
-    for rates, diag in raw:
-        merge_invariants(report.meta["solver_diagnostics"], diag)
+    for rates, _ in raw:
         report.rates.update(rates)
 
     for scheme in schemes:

@@ -4,7 +4,8 @@ Deliberately independent of the production solver: the worst-user rate
 is evaluated through the closed-form per-stream MMSE SINR (no explicit
 receive vectors), and maximized by plain projected gradient ascent with
 numerical gradients and many random restarts.  Only meant for desk-scale
-validation problems.
+validation problems.  It shares only the solver's input check (StreamLayout,
+require_problem), none of its rate or update code, so it stays an independent reference.
 
 All restarts ascend in lockstep: each forward-difference gradient of
 every restart still ascending is one batched rate evaluation over a
@@ -17,7 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import require_count, require_finite, require_positive, seeded_rng
+from .beamforming import StreamLayout, require_problem
+from .channel import require_count, seeded_rng
 from .errors import SolverError
 
 
@@ -74,11 +76,12 @@ def max_rate_projected_gradient(H, groups, q, P_T, N0, restarts=200, seed=0,
 
     Forward-difference gradient on the real/imaginary parts of all
     transmit vectors, normalized-gradient steps with backtracking, and
-    seeded random restarts.  Returns (best rate, best W); fewer than one
-    restart or step, or a negative seed, is a ConfigError.
+    seeded random restarts.  Returns (best rate, best W).  Inputs are checked
+    like the solver's, so the groups must cover exactly the users of H; fewer
+    than one restart or step, or a negative seed, is a ConfigError.
     """
-    require_positive(P_T=P_T, N0=N0)
-    require_finite(H)
+    require_problem(StreamLayout(tuple(range(len(H))), tuple(map(tuple, groups)), q),
+                    H, P_T, N0)
     require_count(1, max_steps=max_steps, **{"oracle restarts": restarts})
     n_streams = len(groups) * q
     L = H.shape[2]

@@ -497,6 +497,16 @@ def test_non_finite_channel_is_input_error(bad):
         zf_beamformers(lay, H, 10.0, 1.0)
 
 
+def test_channel_user_count_must_match_layout():
+    rng = np.random.default_rng(12)
+    lay, H, _ = random_instance(rng, 2, 2, 2, ((0, 1),), 2)
+    for Hs in (H[:1], np.concatenate([H, H[:1]])):  # one user too few, one too many
+        with pytest.raises(ConfigError, match="must be"):
+            optimize(lay, Hs, 10.0, 1.0, options=SolverOptions(n_restarts=1))
+        with pytest.raises(ConfigError, match="must be"):
+            zf_beamformers(lay, Hs, 10.0, 1.0)
+
+
 def test_zf_zero_channel_is_solver_error():
     lay = StreamLayout(users=(0, 1), groups=((0,), (1,)), q=1)
     with pytest.raises(SolverError, match="no transmit direction"):

@@ -47,6 +47,8 @@ def test_snr_to_power():
     assert snr_to_power(20.0, 0.5) == pytest.approx(50.0)
     with pytest.raises(ConfigError):
         snr_to_power(10.0, 0.0)
+    with pytest.raises(ConfigError, match="SNR 4000.0 dB"):  # 10**400 overflows a float
+        snr_to_power(4000.0, 1.0)
 
 
 def test_negative_seed_is_config_error():

@@ -123,6 +123,13 @@ def test_simulate_unknown_scheme_exit(ini, capsys):
     assert "symmetric_rate=" not in captured.out
 
 
+def test_simulate_snr_overflow_exit_code(ini, capsys):
+    assert main(["simulate", "--config", ini, "--snr", "4000"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "SNR 4000.0 dB" in captured.err
+    assert "rate=" not in captured.out
+
+
 def test_simulate_oracle_scheme_runs_oracle(ini, monkeypatch, capsys):
     calls = []
     real = ccmimo.oracle.max_rate_projected_gradient
@@ -154,6 +161,7 @@ def test_unknown_solver_key_exit_code(ini, capsys):
 
 @pytest.mark.parametrize("after, line, where", [
     ("N0 = 1.0", "KK = 4", "network.kk"),
+    ("N0 = 1.0", "P_T = 2.0", "network.p_t"),  # power comes only from an SNR
     ("omega = 3", "omgea = 3", "plan.omgea"),
     ("seed = 1", "realisations = 3", "sweep.realisations"),
     ("seed = 1", "\n[verify]\ndesk_scale_cap = 8", "unknown section [verify]"),
@@ -227,14 +235,14 @@ def test_readme_commands_parse(tmp_path):
 
 
 def test_simulate_singular_channel_exits_solver_error(ini, monkeypatch, capsys):
-    real = ccmimo.cli.sample_channels
+    real = ccmimo.evaluate.sample_channels
 
     def rank_one(*args):
         cs = real(*args)
         cs.H[:, 1] = cs.H[:, 0]  # both receive antennas see the same channel
         return cs
 
-    monkeypatch.setattr(ccmimo.cli, "sample_channels", rank_one)
+    monkeypatch.setattr(ccmimo.evaluate, "sample_channels", rank_one)
     assert main(["simulate", "--config", ini, "--snr", "200"]) == EXIT_SOLVER
     assert "Singular matrix" in capsys.readouterr().err
     assert main(["simulate", "--config", ini, "--snr", "200",
@@ -247,6 +255,7 @@ def test_simulate_singular_channel_exits_solver_error(ini, monkeypatch, capsys):
     ["--snr"],
     ["--snr", "10", "--scheme", "zf", "kkt_lmmse"],
     ["--snr", "10", "--scheme"],
+    [],  # the SNR has no default
 ])
 def test_simulate_takes_one_snr_and_one_scheme(ini, capsys, flags):
     with pytest.raises(SystemExit) as exc:

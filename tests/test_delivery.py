@@ -105,8 +105,8 @@ def test_non_integer_budget_is_config_error():
         NetworkConfig(K=3, L=3, G=1, N=2, M=1)  # K*M/N = 3/2
     # every count must be a real integer: no floats, even integral ones, no bools
     for bad in (dict(L=2.5), dict(K=4.0), dict(G=True), dict(N=4.0), dict(M=1.0),
-                dict(file_size_bits=8192.0), dict(K="4"), dict(K=None), dict(P_T=nan),
-                dict(P_T=inf), dict(N0=nan), dict(N0=inf)):
+                dict(file_size_bits=8192.0), dict(K="4"), dict(K=None), dict(N0=nan),
+                dict(N0=inf)):
         with pytest.raises(ConfigError):
             NetworkConfig(**{**dict(K=4, L=3, G=2, N=4, M=1), **bad})
     # numpy integers are integers
@@ -308,10 +308,9 @@ def test_substream_split_padding():
     pm = build_placement(cfg, random_library(np.random.default_rng(7), 2, 33))
     plan = plan_transmissions(cfg, 2, 2, 2)
     cw = build_codewords(plan, [0, 1], pm)
-    subs = cw.substreams(0, (0, 1))
-    assert len(subs) == 2
-    assert all(len(s) == cw.slice_bytes for s in subs)
-    assert b"".join(subs) == cw.codewords[(0, (0, 1))]
+    # every codeword splits evenly into q substream payloads
+    assert plan.q == 2 and cw.subpacket_bytes % plan.q == 0
+    assert all(len(x) == cw.subpacket_bytes for x in cw.codewords.values())
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,8 @@ def test_sweep_parallel_matches_serial():
     a = small_sweep(workers=1)
     b = small_sweep(workers=2)
     assert a.to_csv() == b.to_csv()
+    assert a.meta["solver_diagnostics"] == b.meta["solver_diagnostics"]
+    assert a.meta["solver_diagnostics"]["outer_iterations"] > 0
 
 
 def test_sweep_pool_capped_at_job_count(monkeypatch):
@@ -242,7 +244,7 @@ def test_run_scheme_stress_only_typed_errors(scheme):
     assert ("random", 0.0, "ok") in outcomes
     # so is an SNR whose power budget, or a noise level, is not positive and finite
     H = _stress_channel("random", rng)
-    for snr_db, N0 in ((-math.inf, 1.0), (math.inf, 1.0), (math.nan, 1.0),
+    for snr_db, N0 in ((-math.inf, 1.0), (math.inf, 1.0), (math.nan, 1.0), (4000.0, 1.0),
                        (0.0, 0.0), (0.0, math.nan)):
         with pytest.raises(ConfigError):
             run_scheme(scheme, lay, H, snr_db, N0, options, 2, 5, 0, 0)

@@ -149,6 +149,14 @@ def test_negative_seed_is_config_error():
         max_rate_projected_gradient(H, [(0, 1)], 2, 10.0, 1.0, restarts=2, seed=1.5)
 
 
+def test_groups_and_q_checked_like_the_solvers():
+    H = sample_channels(7, 0, 2, 2, 2).H
+    # user 2 is not in H, and q counts at least one substream
+    for groups, q in ((((0, 1), (1, 2), (0, 2)), 1), ([(0, 1)], 0)):
+        with pytest.raises(ConfigError):
+            max_rate_projected_gradient(H, groups, q, 10.0, 1.0, restarts=2)
+
+
 def test_non_finite_channel_is_input_error():
     H = sample_channels(7, 0, 2, 2, 2).H
     H[0, 1, 0] = np.nan
