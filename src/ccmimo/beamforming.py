@@ -114,40 +114,42 @@ def lmmse_receivers(W, H, N0, member):
     return np.where(member[:, :, None], U, 0.0)
 
 
-def _cross_gains(W, H, U):
-    heff = np.einsum("ugl,sl->ugs", H, W)
-    return np.einsum("usg,ugt->ust", U.conj(), heff)  # P[u,s,s'] = u_s^H H_u w_s'
+def _sq_norms(U):
+    return np.sum(np.abs(U) ** 2, axis=-1)  # |u|^2 of every (user, stream) receiver
 
 
-def _power_terms(P, U, N0):
-    """Signal, interference and noise power of every stream at every user."""
+def _receiver_terms(H, U):
+    """B[u, s] = H_u^H u_{u,s} and |u_{u,s}|^2, fixed while the receivers are."""
+    return np.einsum("ugl,usg->usl", H.conj(), U), _sq_norms(U)
+
+
+def _power_terms(W, H, U, N0, noise=None):
+    """Cross-gains P[u, s, s'] = u_s^H H_u w_s' and the signal, interference and
+    noise power of every stream at every user; ``noise``, if given, is N0 |u|^2."""
+    P = np.einsum("usg,ugt->ust", U.conj(), np.einsum("ugl,sl->ugs", H, W))
     p2 = np.abs(P) ** 2
     sig = np.einsum("uss->us", p2)
-    return sig, p2.sum(axis=2) - sig, N0 * np.sum(np.abs(U) ** 2, axis=2)
+    return P, sig, p2.sum(axis=2) - sig, N0 * _sq_norms(U) if noise is None else noise
 
 
-def sinr(W, H, U, N0, P=None):
+def sinr(W, H, U, N0, terms=None):
     """Per-stream SINR at every user; interference sums over all other streams.
 
-    ``P``, when given, holds the cross-gains of (W, U) already computed.
+    ``terms``, when given, holds _power_terms(W, H, U, N0) already computed.
     """
-    if P is None:
-        P = _cross_gains(W, H, U)
-    sig, interf, noise = _power_terms(P, U, N0)
+    _, sig, interf, noise = terms or _power_terms(W, H, U, N0)
     den = interf + noise
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(den > 0, sig / den, 0.0)
 
 
-def mse(W, H, U, N0, P=None):
+def mse(W, H, U, N0, terms=None):
     """Quadratic-form estimation error of every stream at every user.
 
     Equals 1/(1+SINR) exactly when U came from lmmse_receivers for this W.
-    ``P``, when given, holds the cross-gains of (W, U) already computed.
+    ``terms``, when given, holds _power_terms(W, H, U, N0) already computed.
     """
-    if P is None:
-        P = _cross_gains(W, H, U)
-    _, interf, noise = _power_terms(P, U, N0)
+    P, _, interf, noise = terms or _power_terms(W, H, U, N0)
     return np.abs(1.0 - np.einsum("uss->us", P)) ** 2 + interf + noise
 
 
@@ -155,19 +157,19 @@ def mse(W, H, U, N0, P=None):
 # Rate objective
 # ---------------------------------------------------------------------------
 
-def per_user_rates(W, H, layout, N0, U=None, P=None):
+def per_user_rates(W, H, layout, N0, U=None, terms=None):
     """Each served user's sum over substream slots of its worst group rate."""
     if U is None:
         U = lmmse_receivers(W, H, N0, layout.member)
-    g = sinr(W, H, U, N0, P=P)
+    g = sinr(W, H, U, N0, terms=terms)
     vals = np.log2(1.0 + g).reshape(layout.n_users, layout.n_groups, layout.q)
     masked = np.where(layout.member_groups[:, :, None], vals, np.inf)
     return masked.min(axis=1).sum(axis=1)
 
 
-def rate_objective(W, H, layout, N0, U=None, P=None) -> float:
+def rate_objective(W, H, layout, N0, U=None, terms=None) -> float:
     """Worst-user rate of one transmission, the quantity the solver maximizes."""
-    return float(per_user_rates(W, H, layout, N0, U=U, P=P).min())
+    return float(per_user_rates(W, H, layout, N0, U=U, terms=terms).min())
 
 
 # ---------------------------------------------------------------------------
@@ -176,27 +178,56 @@ def rate_objective(W, H, layout, N0, U=None, P=None) -> float:
 
 def closed_form_mu(lam, U, P_T) -> float:
     """Power-constraint multiplier from the dual stationarity identity."""
-    return float(np.sum(lam * np.sum(np.abs(U) ** 2, axis=2))) / P_T
+    return _mu_of(lam, _sq_norms(U), P_T)
+
+
+def _mu_of(lam, u2, P_T) -> float:
+    return float(np.sum(lam * u2)) / P_T
 
 
 def tx_power(W) -> float:
     return float(np.sum(np.abs(W) ** 2))
 
 
+def _replayed(power_of, evals, R2, P_T, mu):
+    """power_of for the bisection, run only inside a bracket (a, b) of the root of
+    power = P_T, beyond which +inf or 0 stand in: power_of(a) and power_of(b) are
+    checked outside the window P_T (1 -+ 5e-7) by a 1e-12 relative margin, else
+    power_of is returned.  Newton on power**-0.5, concave and near linear in mu."""
+    with np.errstate(all="ignore"):
+        for _ in range(30):
+            d = (evals + mu)[:, None]
+            p, dp = np.sum(R2 / d ** 2), np.sum(R2 / d ** 3)  # power, -power'/2
+            mu += p * (np.sqrt(p / P_T) - 1.0) / dp
+            if not p > P_T * (1 + 1e-4):  # this last step lands within ~1e-8
+                break
+        half = 6e-7 * p / (2.0 * dp)  # power moves by ~6e-7 relative at a and b
+        a, b = float(mu - half), float(mu + half)
+        if power_of(a) > P_T * (1 + 5e-7) * (1 + 1e-12) \
+                and power_of(b) < P_T * (1 - 5e-7) * (1 - 1e-12):
+            return lambda m: math.inf if m <= a else 0.0 if m >= b else power_of(m)
+    return power_of
+
+
 @_typed_linalg
-def solve_tx_with_power(U, lam, H, P_T):
+def solve_tx_with_power(U, lam, H, P_T, rx=None):
     """Transmit update with the multiplier chosen to respect the power budget.
 
     The multiplier comes from the dual identity (closed_form_mu); when the
     resulting power overshoots the budget, bisection finds the multiplier
     putting total power at P_T (within 1e-6 relative) instead.  Returns
-    (W, mu, power, stationarity residual).
+    (W, mu, power, stationarity residual); ``rx``, if given, is _receiver_terms(H, U).
+
+    The bisection is replayed bit for bit: the same midpoints and decisions,
+    with power_of run only inside the bracket (a, b) of _replayed.  power_of
+    is non-increasing in mu, so beyond a or b the side is known and the window
+    cannot be hit; the last midpoint is always evaluated.
     """
-    B = np.einsum("ugl,usg->usl", H.conj(), U)
+    B, u2 = rx or _receiver_terms(H, U)
     A = np.einsum("us,usl,usm->lm", lam, B, B.conj())
     rhs = np.einsum("us,usl->sl", lam, B)  # (nS, L)
     rhs_norm = np.linalg.norm(rhs, axis=1)
-    mu = max(closed_form_mu(lam, U, P_T), MU_FLOOR)
+    mu = max(_mu_of(lam, u2, P_T), MU_FLOOR)
 
     if not np.any(rhs_norm > 0):
         return np.zeros_like(rhs), mu, 0.0, 0.0
@@ -211,18 +242,19 @@ def solve_tx_with_power(U, lam, H, P_T):
 
     power = power_of(mu)
     if power > P_T * (1 + 1e-6):
+        replayed = _replayed(power_of, evals, R2, P_T, mu)
         # bisection on [MU_FLOOR, hi]; power is non-increasing in mu, so
         # power_of(MU_FLOOR) > P_T as well
         lo, hi = MU_FLOOR, 1.0
         for _ in range(200):
-            if power_of(hi) <= P_T:
+            if replayed(hi) <= P_T:
                 break
             hi *= 2.0
         else:
             raise SolverError(f"power bisection bracket failed: power({hi}) > {P_T}")
         for _ in range(200):
             mu = 0.5 * (lo + hi)
-            power = power_of(mu)
+            power = replayed(mu)
             # half the documented 1e-6 relative window, so the power budget
             # invariant holds strictly even after float rounding
             if abs(power - P_T) <= 5e-7 * P_T:
@@ -230,7 +262,7 @@ def solve_tx_with_power(U, lam, H, P_T):
             lo, hi = (mu, hi) if power > P_T else (lo, mu)
         else:
             raise SolverError(f"power bisection did not converge: bracket [{lo}, {hi}], "
-                              f"power {power}, target {P_T}")
+                              f"power {power_of(mu)}, target {P_T}")
 
     W = (Q @ (Rt / (evals + mu)[:, None])).T
     resid = np.linalg.norm(W @ (A + mu * np.eye(A.shape[0])).T - rhs, axis=1)
@@ -378,6 +410,8 @@ def _optimize_single(layout, H, P_T, N0, opt, W):
         # the step past max_outer only scores the last inner loop's transmit set
         for outer in range(1, opt.max_outer + 2):
             U = lmmse_receivers(W, H, N0, member)
+            rx = _receiver_terms(H, U)
+            noise = N0 * rx[1]
             user_totals = per_user_rates(W, H, layout, N0, U=U)
             obj = float(user_totals.min())
             diag["outer_decrease"] = max(diag["outer_decrease"], obj_prev - obj)
@@ -391,13 +425,13 @@ def _optimize_single(layout, H, P_T, N0, opt, W):
             inner_prev = -math.inf
             for inner in range(1, MAX_INNER + 1):
                 lam_eff = lam * (z * nU)[:, None]
-                W_it, mu, power, resid = solve_tx_with_power(U, lam_eff, H, P_T)
+                W_it, mu, power, resid = solve_tx_with_power(U, lam_eff, H, P_T, rx=rx)
                 check_finite("transmit vectors", W_it)
                 diag["stationarity"] = max(diag["stationarity"], resid)
                 diag["power_overrun"] = max(diag["power_overrun"], (power - P_T) / P_T)
 
-                P_it = _cross_gains(W_it, H, U)  # shared by the MSEs and the rate
-                eps = mse(W_it, H, U, N0, P=P_it)
+                terms = _power_terms(W_it, H, U, N0, noise)  # shared by the MSEs and the rate
+                eps = mse(W_it, H, U, N0, terms=terms)
                 check_finite("stream MSEs", eps)
                 rates, r_c = update_rates(v, eps, layout)
                 v, lam = update_duals(v, eps, target_of(rates, r_c), eta, layout)
@@ -409,7 +443,7 @@ def _optimize_single(layout, H, P_T, N0, opt, W):
                 z = np.maximum(z, 1e-12)
                 z /= z.sum()
 
-                obj_in = rate_objective(W_it, H, layout, N0, U=U, P=P_it)
+                obj_in = rate_objective(W_it, H, layout, N0, U=U, terms=terms)
                 if opt.keep_trace:
                     trace.append({
                         "outer": outer, "inner": inner, "objective": obj_in,

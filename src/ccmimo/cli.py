@@ -18,7 +18,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import get_type_hints
 
 from .beamforming import SolverOptions, layout_for_subset, zf_leakage
-from .channel import seeded_rng
+from .channel import seeded_rng, snr_to_power
 from .config import NetworkConfig
 from .delivery import (build_codewords, build_placement, dump_codewords,
                        dump_plan, freshness_audit, plan_transmissions, verify_decode)
@@ -215,6 +215,7 @@ def cmd_simulate(rc: RunConfig, args) -> int:
     scheme, snr = args.scheme, args.snr
     transmissions = [(i, layout_for_subset(plan, i)) for i in range(plan.n_transmissions)]
     channels = draw_transmissions(net, rc.sweep.seed, 0, transmissions)
+    snr_to_power(snr, net.N0)  # an SNR that gives no power fails before out_dir is made
     os.makedirs(rc.output.out_dir, exist_ok=True)
 
     rates = []

@@ -181,6 +181,98 @@ def test_closed_form_power_never_exceeds_budget():
         assert resid < 1e-8
 
 
+def _plain_bisection_tx(U, lam, H, P_T):
+    """The transmit update with a plain power bisection that evaluates every
+    midpoint: the reference solve_tx_with_power's replayed bisection must match."""
+    B = np.einsum("ugl,usg->usl", H.conj(), U)
+    A = np.einsum("us,usl,usm->lm", lam, B, B.conj())
+    rhs = np.einsum("us,usl->sl", lam, B)  # (nS, L)
+    rhs_norm = np.linalg.norm(rhs, axis=1)
+    mu = max(closed_form_mu(lam, U, P_T), MU_FLOOR)
+
+    if not np.any(rhs_norm > 0):
+        return np.zeros_like(rhs), mu, 0.0, 0.0
+
+    evals, Q = np.linalg.eigh(A)
+    evals = np.maximum(evals, 0.0)
+    Rt = Q.conj().T @ rhs.T  # (L, nS)
+    R2 = np.abs(Rt) ** 2
+
+    def power_of(mu):
+        return float(np.sum(R2 / (evals + mu)[:, None] ** 2))
+
+    power = power_of(mu)
+    if power > P_T * (1 + 1e-6):
+        lo, hi = MU_FLOOR, 1.0
+        for _ in range(200):
+            if power_of(hi) <= P_T:
+                break
+            hi *= 2.0
+        else:
+            raise SolverError(f"power bisection bracket failed: power({hi}) > {P_T}")
+        for _ in range(200):
+            mu = 0.5 * (lo + hi)
+            power = power_of(mu)
+            if abs(power - P_T) <= 5e-7 * P_T:
+                break
+            lo, hi = (mu, hi) if power > P_T else (lo, mu)
+        else:
+            raise SolverError(f"power bisection did not converge: bracket [{lo}, {hi}], "
+                              f"power {power}, target {P_T}")
+
+    W = (Q @ (Rt / (evals + mu)[:, None])).T
+    resid = np.linalg.norm(W @ (A + mu * np.eye(A.shape[0])).T - rhs, axis=1)
+    rel = float(np.max(resid[rhs_norm > 0] / rhs_norm[rhs_norm > 0]))
+    return W, mu, power, rel
+
+
+# the layouts of acceptance criterion 5: (users, groups, q, G, L)
+CRITERION_5_LAYOUTS = [
+    ((0, 1), ((0, 1),), 2, 2, 2),
+    ((0, 1, 2), ((0, 1), (0, 2), (1, 2)), 1, 2, 3),
+    ((0, 1), ((0,), (1,)), 1, 2, 3),
+    ((0, 1, 2), ((0, 1, 2),), 2, 3, 4),
+]
+
+
+def test_replayed_bisection_matches_plain_bisection_bit_for_bit(monkeypatch):
+    replays = []
+    real = beamforming._replayed
+
+    def spy(power_of, *args):
+        replay = real(power_of, *args)
+        replays.append(replay is not power_of)  # False: the bracket check failed
+        return replay
+
+    monkeypatch.setattr(beamforming, "_replayed", spy)
+    rng = np.random.default_rng(1313)
+    kinds = {"zero": 0, "closed_form": 0, "bisection": 0, "doubled_10": 0}
+    for trial in range(600):
+        users, groups, q, G, L = CRITERION_5_LAYOUTS[trial % 4]
+        lay, H, W = random_instance(rng, len(users), G, L, groups, q,
+                                    P_T=10.0 ** rng.uniform(-2, 4))
+        U = lmmse_receivers(W, H, 1.0, lay.member)
+        # large weights, as small MSEs give them, push the multiplier's root up
+        scale = 0.0 if trial % 50 == 0 else 10.0 ** rng.uniform(-2, 5)
+        lam = np.where(lay.member, scale * rng.uniform(0.1, 2.0, lay.member.shape), 0.0)
+        P_T = float(10.0 ** rng.uniform(-3, 6))
+        want = _plain_bisection_tx(U, lam, H, P_T)
+        for got in (solve_tx_with_power(U, lam, H, P_T),
+                    solve_tx_with_power(U, lam, H, P_T, rx=beamforming._receiver_terms(H, U))):
+            assert np.array_equal(got[0], want[0]) and got[1:] == want[1:], trial
+        if scale == 0.0:
+            kinds["zero"] += 1
+        elif want[1] == max(closed_form_mu(lam, U, P_T), MU_FLOOR):
+            kinds["closed_form"] += 1
+        else:
+            kinds["bisection"] += 1
+            kinds["doubled_10"] += want[1] > 2.0 ** 9  # the bracket [MU_FLOOR, 2**k], k >= 10
+    assert kinds["zero"] >= 10 and kinds["closed_form"] >= 200, kinds
+    assert kinds["bisection"] >= 150 and kinds["doubled_10"] >= 20, kinds
+    # every bisection was replayed from a checked bracket, none fell back
+    assert len(replays) == 2 * kinds["bisection"] and all(replays)
+
+
 # ---------------------------------------------------------------------------
 # rate and dual updates
 # ---------------------------------------------------------------------------

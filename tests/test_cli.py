@@ -130,6 +130,11 @@ def test_simulate_snr_overflow_exit_code(ini, capsys):
     assert "rate=" not in captured.out
 
 
+def test_simulate_bad_snr_leaves_no_out_dir(ini, tmp_path):
+    assert main(["simulate", "--config", ini, "--snr", "4000"]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_oracle_scheme_runs_oracle(ini, monkeypatch, capsys):
     calls = []
     real = ccmimo.oracle.max_rate_projected_gradient

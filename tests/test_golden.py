@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from ccmimo import (NetworkConfig, SolverOptions, StreamLayout, monte_carlo_sweep,
-                    optimize, plan_transmissions, sample_channels)
+                    optimize, optimize_dof, plan_transmissions, sample_channels)
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -46,6 +46,29 @@ def criterion_4_objectives():
                      options=replace(opts, init_seed=c)).objective.hex() for c in (0, 1)]
 
 
+# one realization at one high-SNR point of each benchmark sweep's shape:
+# (network, (omega, beta, q), schemes, SNR in dB, solver options)
+BENCH_SWEEPS = {
+    "sweep_kkt": (dict(K=4, L=3, G=2, N=4, M=1), (3, 2, 1), ["kkt_lmmse", "zf"], 30.0,
+                  dict(n_restarts=3, max_outer=40)),
+    "sweep_multistream": (dict(K=4, L=2, G=2, N=4, M=1), (2, 2, 2), ["kkt_lmmse"], 30.0,
+                          dict(n_restarts=3, max_outer=60, gradient="per_user")),
+}
+
+
+def bench_sweep_digests():
+    """sha256 of the CSV of a one-realization sweep of each BENCH_SWEEPS shape."""
+    digests = {}
+    for name, (network, (omega, beta, q), schemes, snr, options) in BENCH_SWEEPS.items():
+        cfg = NetworkConfig(**network)
+        best = optimize_dof(cfg.L, cfg.G, cfg.t, omega=omega, beta=beta, q=q)
+        plan = plan_transmissions(cfg, best.omega, best.beta, best.q)
+        rep = monte_carlo_sweep(cfg, plan, schemes, [snr], 1, seed=5,
+                                options=SolverOptions(**options))
+        digests[name] = hashlib.sha256(rep.to_csv().encode()).hexdigest()
+    return digests
+
+
 def golden():
     return json.loads(GOLDEN.read_text())
 
@@ -64,9 +87,14 @@ def test_criterion_4_objectives():
     assert criterion_4_objectives() == golden()["criterion_4_objectives"]
 
 
+def test_bench_sweep_digests():
+    assert bench_sweep_digests() == golden()["bench_sweeps"]
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps({"criterion_9": criterion_9_digests(),
                                   "kkt_rates_15db_realization_2": rates_at_15_db([15.0]),
-                                  "criterion_4_objectives": criterion_4_objectives()},
+                                  "criterion_4_objectives": criterion_4_objectives(),
+                                  "bench_sweeps": bench_sweep_digests()},
                                  indent=2) + "\n")
     print(f"wrote {GOLDEN}")
