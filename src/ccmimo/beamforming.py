@@ -102,15 +102,15 @@ def require_problem(layout: StreamLayout, H, P_T, N0):
 def lmmse_receivers(W, H, N0, member):
     """MMSE receive vectors for every (user, stream) pair.
 
-    W: (n_streams, L) transmit vectors; H: (n_users, G, L); member:
-    (n_users, n_streams) mask.  Returns (n_users, n_streams, G), with the
-    rows outside ``member`` zeroed.
+    W: (..., n_streams, L) transmit vectors; H: (n_users, G, L); member:
+    (n_users, n_streams) mask.  Returns (..., n_users, n_streams, G), with the
+    rows outside ``member`` zeroed.  Like the other solver-loop helpers, each
+    entry of the leading batch axes gets the bits of an unbatched call.
     """
     require_positive(N0=N0)
-    nU, G, _ = H.shape
-    heff = np.einsum("ugl,sl->ugs", H, W)
-    cov = heff @ heff.conj().transpose(0, 2, 1) + N0 * np.eye(G)
-    U = np.linalg.solve(cov, heff).transpose(0, 2, 1)  # (nU, nS, G)
+    heff = np.einsum("ugl,...sl->...ugs", H, W)
+    cov = heff @ heff.conj().swapaxes(-1, -2) + N0 * np.eye(H.shape[1])
+    U = np.linalg.solve(cov, heff).swapaxes(-1, -2)  # (..., nU, nS, G)
     return np.where(member[:, :, None], U, 0.0)
 
 
@@ -120,16 +120,16 @@ def _sq_norms(U):
 
 def _receiver_terms(H, U):
     """B[u, s] = H_u^H u_{u,s} and |u_{u,s}|^2, fixed while the receivers are."""
-    return np.einsum("ugl,usg->usl", H.conj(), U), _sq_norms(U)
+    return np.einsum("ugl,...usg->...usl", H.conj(), U), _sq_norms(U)
 
 
 def _power_terms(W, H, U, N0, noise=None):
     """Cross-gains P[u, s, s'] = u_s^H H_u w_s' and the signal, interference and
     noise power of every stream at every user; ``noise``, if given, is N0 |u|^2."""
-    P = np.einsum("usg,ugt->ust", U.conj(), np.einsum("ugl,sl->ugs", H, W))
+    P = np.einsum("...usg,...ugt->...ust", U.conj(), np.einsum("ugl,...sl->...ugs", H, W))
     p2 = np.abs(P) ** 2
-    sig = np.einsum("uss->us", p2)
-    return P, sig, p2.sum(axis=2) - sig, N0 * _sq_norms(U) if noise is None else noise
+    sig = np.einsum("...uss->...us", p2)
+    return P, sig, p2.sum(axis=-1) - sig, N0 * _sq_norms(U) if noise is None else noise
 
 
 def sinr(W, H, U, N0, terms=None):
@@ -139,8 +139,7 @@ def sinr(W, H, U, N0, terms=None):
     """
     _, sig, interf, noise = terms or _power_terms(W, H, U, N0)
     den = interf + noise
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(den > 0, sig / den, 0.0)
+    return np.divide(sig, den, out=np.zeros_like(sig), where=den > 0)
 
 
 def mse(W, H, U, N0, terms=None):
@@ -150,7 +149,7 @@ def mse(W, H, U, N0, terms=None):
     ``terms``, when given, holds _power_terms(W, H, U, N0) already computed.
     """
     P, _, interf, noise = terms or _power_terms(W, H, U, N0)
-    return np.abs(1.0 - np.einsum("uss->us", P)) ** 2 + interf + noise
+    return np.abs(1.0 - np.einsum("...uss->...us", P)) ** 2 + interf + noise
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +161,9 @@ def per_user_rates(W, H, layout, N0, U=None, terms=None):
     if U is None:
         U = lmmse_receivers(W, H, N0, layout.member)
     g = sinr(W, H, U, N0, terms=terms)
-    vals = np.log2(1.0 + g).reshape(layout.n_users, layout.n_groups, layout.q)
+    vals = np.log2(1.0 + g).reshape(*g.shape[:-1], layout.n_groups, layout.q)
     masked = np.where(layout.member_groups[:, :, None], vals, np.inf)
-    return masked.min(axis=1).sum(axis=1)
+    return masked.min(axis=-2).sum(axis=-1)
 
 
 def rate_objective(W, H, layout, N0, U=None, terms=None) -> float:
@@ -270,43 +269,46 @@ def solve_tx_with_power(U, lam, H, P_T, rx=None):
     return W, mu, power, rel
 
 
-def update_rates(v, eps, layout):
+def update_rates(v, eps, layout, log_eps=None):
     """Per-(user, slot) rates as dual-weighted means of the group log rates,
-    and the common rate as the mean over users of their slot sums."""
-    nU, nG, q = layout.n_users, layout.n_groups, layout.q
-    eps_safe = np.clip(eps, EPS_FLOOR, None)
-    linv = np.where(layout.member, -np.log2(eps_safe), 0.0)
-    v_r = np.where(layout.member, v, 0.0).reshape(nU, nG, q)
-    l_r = linv.reshape(nU, nG, q)
-    den = v_r.sum(axis=1)
-    num = (v_r * l_r).sum(axis=1)
+    and the common rate (one per run) as the mean over users of their slot
+    sums.  ``log_eps``, if given, is log2 of the MSEs floored at EPS_FLOOR."""
+    shape = (*v.shape[:-1], layout.n_groups, layout.q)
+    if log_eps is None:
+        log_eps = np.log2(np.maximum(eps, EPS_FLOOR))
+    linv = np.where(layout.member, -log_eps, 0.0)
+    v_r = np.where(layout.member, v, 0.0).reshape(shape)
+    l_r = linv.reshape(shape)
+    den = v_r.sum(axis=-2)
+    num = (v_r * l_r).sum(axis=-2)
     if np.any(den <= 0):
         warnings.warn("all dual weights of a (user, slot) pair hit zero; using uniform weights",
                       RuntimeWarning, stacklevel=2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r = np.where(den > 0, num / den, l_r.sum(axis=1) / layout.group_counts[:, None])
-    return r, float(np.mean(r.sum(axis=1)))
+    r = np.divide(num, den, out=l_r.sum(axis=-2) / layout.group_counts[:, None], where=den > 0)
+    return r, r.sum(axis=-1).sum(axis=-1) / layout.n_users  # the mean, bit for bit
 
 
-def update_duals(v, eps, target, eta, layout):
+def update_duals(v, eps, target, eta, layout, log_eps=None):
     """Projected subgradient step on the per-stream dual weights.
 
     ``target`` is the common rate or an (n_users, n_streams) rate per stream.
     After the step each user's weights are renormalized so their sum is
     exactly q, and the MSE multipliers are refreshed from the weights.
+    ``log_eps``, if given, is log2 of the MSEs floored at EPS_FLOOR.
     """
     member = layout.member
-    eps_safe = np.clip(eps, EPS_FLOOR, None)
-    grad = target + np.log2(eps_safe)
+    eps_safe = np.maximum(eps, EPS_FLOOR)
+    grad = target + (np.log2(eps_safe) if log_eps is None else log_eps)
     v2 = np.where(member, np.maximum(0.0, v + eta * grad), 0.0)
-    tot = v2.sum(axis=1)
+    tot = v2.sum(axis=-1)
     dead = tot <= 0
     if np.any(dead):
         warnings.warn("dual weights of a user collapsed to zero; resetting to uniform",
                       RuntimeWarning, stacklevel=2)
-        v2[dead] = np.where(member[dead], 1.0 / layout.group_counts[dead, None], 0.0)
-        tot = v2.sum(axis=1)
-    v2 = v2 * (layout.q / tot)[:, None]
+        users = np.nonzero(dead)[-1]
+        v2[dead] = np.where(member[users], 1.0 / layout.group_counts[users, None], 0.0)
+        tot = v2.sum(axis=-1)
+    v2 = v2 * (layout.q / tot)[..., None]
     lam = np.where(member, v2 / (eps_safe * LN2), 0.0)
     return v2, lam
 
@@ -325,6 +327,7 @@ USER_WEIGHT_STEP = 0.5  # exponentiated step of the per-user priority weights
 # an invariant that holds per run keeps the worst value, a count the sum
 DIAGNOSTICS = {"power_overrun": (0.0, max), "dual_norm_err": (0.0, max),
                "stationarity": (0.0, max), "outer_decrease": (0.0, max),
+               "power_shortfall": (0.0, max),  # 1 - power / P_T of the returned set
                "outer_iterations": (0, operator.add)}
 
 
@@ -386,81 +389,107 @@ def group_svd_init(layout: StreamLayout, H, P_T):
 
 
 def _optimize_single(layout, H, P_T, N0, opt, W):
-    member = layout.member
-    nU = layout.n_users
+    """Run the starts W (R, n_streams, L) in lockstep, bit for bit as if each ran
+    alone: one BeamformerState per start.  The arrays of the runs still stepping
+    are compacted only when a run leaves the outer loop (patience or max_outer)
+    or the inner one (the TOL break).  A SolverError carries its run's trace."""
+    member, nU, R = layout.member, layout.n_users, len(W)
     eta = STEP_PER_SLOT * layout.q
-
-    v = np.where(member, 1.0 / nU, 0.0)
+    per_user = opt.gradient == "per_user"  # else the dual step targets the common rate
+    v = np.repeat(np.where(member, 1.0 / nU, 0.0)[None], R, axis=0)
     lam = v.copy()
-    z = np.full(nU, 1.0 / nU)  # per-user priority weights
-    trace: list = []
-    diag = merge_diagnostics(())
-
-    # the dual step's target, fixed per run: the common rate or each stream's slot rate
-    target_of = {"common_rate": lambda rates, r_c: r_c,
-                 "per_user": lambda rates, r_c: rates[:, layout.stream_slot]}[opt.gradient]
-
-    def check_finite(name, arr):
-        if not np.all(np.isfinite(arr)):
-            raise SolverError(f"non-finite values in {name}")
-
-    obj_prev = -math.inf  # so the first step is neither a decrease nor a stall
-    stall = 0
+    z = np.full((R, nU), 1.0 / nU)  # per-user priority weights
+    traces, diags, states = [[] for _ in W], [merge_diagnostics(()) for _ in W], [None] * R
+    runs = np.arange(R)  # the run of each row still in the outer loop
+    blame = 0  # the run a SolverError is raised for
+    # obj_prev starts at -inf, so the first step is neither a decrease nor a stall
+    obj_prev, stall = np.full(R, -math.inf), np.zeros(R, dtype=int)
     try:
         # the step past max_outer only scores the last inner loop's transmit set
         for outer in range(1, opt.max_outer + 2):
-            U = lmmse_receivers(W, H, N0, member)
-            rx = _receiver_terms(H, U)
-            noise = N0 * rx[1]
+            try:
+                U = lmmse_receivers(W, H, N0, member)
+            except SolverError:  # raised again by the first run whose receivers fail alone
+                for blame, w in zip(runs, W):
+                    lmmse_receivers(w, H, N0, member)
+                raise
+            B, u2 = _receiver_terms(H, U)
             user_totals = per_user_rates(W, H, layout, N0, U=U)
-            obj = float(user_totals.min())
-            diag["outer_decrease"] = max(diag["outer_decrease"], obj_prev - obj)
-            stall = stall + 1 if abs(obj - obj_prev) < TOL else 0
-            diag["outer_iterations"] = min(outer, opt.max_outer)
-            if outer > opt.max_outer or stall >= PATIENCE:
+            obj = user_totals.min(axis=-1)
+            stall = np.where(abs(obj - obj_prev) < TOL, stall + 1, 0)
+            done = (stall >= PATIENCE) | (outer > opt.max_outer)
+            for k, (r, drop) in enumerate(zip(runs, (obj_prev - obj).tolist())):
+                d = diags[r]
+                d["outer_decrease"] = max(d["outer_decrease"], drop)
+                d["outer_iterations"] = min(outer, opt.max_outer)
+                if done[k]:
+                    d["power_shortfall"] = max(d["power_shortfall"], 1.0 - tx_power(W[k]) / P_T)
+                    states[r] = BeamformerState(W[k], U[k], user_totals[k], float(obj[k]),
+                                                tx_power(W[k]), d, traces[r])
+            if done.all():
                 break
+            if done.any():
+                runs, W, U, B, u2, v, lam, z, obj, stall = (
+                    a[~done] for a in (runs, W, U, B, u2, v, lam, z, obj, stall))
             obj_prev = obj
 
-            best_inner, best_W = obj, W
-            inner_prev = -math.inf
+            # the inner loop steps rows `pos` of the outer arrays; a leaving row parks in `held`
+            held = [np.empty_like(a) for a in (v, lam, z, W)]
+            pos, rows, noise = np.arange(len(runs)), runs, N0 * u2
+            best_obj, best_W, inner_prev = obj, W, np.full(len(runs), -math.inf)
             for inner in range(1, MAX_INNER + 1):
-                lam_eff = lam * (z * nU)[:, None]
-                W_it, mu, power, resid = solve_tx_with_power(U, lam_eff, H, P_T, rx=rx)
-                check_finite("transmit vectors", W_it)
-                diag["stationarity"] = max(diag["stationarity"], resid)
-                diag["power_overrun"] = max(diag["power_overrun"], (power - P_T) / P_T)
+                lam_eff = lam * (z * nU)[..., None]
+                W_it, tx = np.empty_like(best_W), []
+                for j, blame in enumerate(rows.tolist()):
+                    W_it[j], *out = solve_tx_with_power(U[j], lam_eff[j], H, P_T, rx=(B[j], u2[j]))
+                    tx.append(out)
+                    if not np.isfinite(W_it[j]).all():
+                        raise SolverError("non-finite values in transmit vectors")
 
                 terms = _power_terms(W_it, H, U, N0, noise)  # shared by the MSEs and the rate
                 eps = mse(W_it, H, U, N0, terms=terms)
-                check_finite("stream MSEs", eps)
-                rates, r_c = update_rates(v, eps, layout)
-                v, lam = update_duals(v, eps, target_of(rates, r_c), eta, layout)
-                norm_err = float(np.max(np.abs(v.sum(axis=1) / layout.q - 1.0)))
-                diag["dual_norm_err"] = max(diag["dual_norm_err"], norm_err)
+                if not np.isfinite(eps).all():
+                    blame = rows[np.isfinite(eps).reshape(len(eps), -1).all(axis=1).argmin()]
+                    raise SolverError("non-finite values in stream MSEs")
+                log_eps = np.log2(np.maximum(eps, EPS_FLOOR))  # shared by both updates
+                rates, r_c = update_rates(v, eps, layout, log_eps=log_eps)
+                target = rates[..., layout.stream_slot] if per_user else r_c[:, None, None]
+                v, lam = update_duals(v, eps, target, eta, layout, log_eps=log_eps)
+                norm_err = np.abs(v.sum(axis=-1) / layout.q - 1.0).max(axis=-1)
                 # exponentiated subgradient on the common-rate constraint: users
                 # below the common rate gain priority (one user's z stays 1)
-                z = z * np.exp(USER_WEIGHT_STEP * (r_c - rates.sum(axis=1)))
+                z = z * np.exp(USER_WEIGHT_STEP * (r_c[:, None] - rates.sum(axis=-1)))
                 z = np.maximum(z, 1e-12)
-                z /= z.sum()
+                z /= z.sum(axis=-1, keepdims=True)
 
-                obj_in = rate_objective(W_it, H, layout, N0, U=U, terms=terms)
-                if opt.keep_trace:
-                    trace.append({
-                        "outer": outer, "inner": inner, "objective": obj_in,
-                        "power": power, "mu": mu, "stationarity": resid, "r_c": r_c,
-                    })
-                if obj_in > best_inner:
-                    best_inner, best_W = obj_in, W_it
-                if abs(obj_in - inner_prev) < TOL:
-                    break
+                obj_in = per_user_rates(W_it, H, layout, N0, U=U, terms=terms).min(axis=-1)
+                for r, (mu, power, resid), err, obj_r, r_c_r in zip(
+                        rows, tx, norm_err.tolist(), obj_in.tolist(), r_c.tolist()):
+                    for key, val in (("stationarity", resid), ("dual_norm_err", err),
+                                     ("power_overrun", (power - P_T) / P_T)):
+                        diags[r][key] = max(diags[r][key], val)
+                    if opt.keep_trace:
+                        traces[r].append(dict(outer=outer, inner=inner, objective=obj_r, power=power,
+                                              mu=mu, stationarity=resid, r_c=r_c_r))
+                better = obj_in > best_obj
+                best_obj = np.where(better, obj_in, best_obj)
+                best_W = np.where(better[:, None, None], W_it, best_W)
+                stop = (abs(obj_in - inner_prev) < TOL) | (inner == MAX_INNER)
                 inner_prev = obj_in
-            W = best_W
+                if stop.any():
+                    for hold, a in zip(held, (v, lam, z, best_W)):
+                        hold[pos[stop]] = a[stop]
+                    if stop.all():
+                        break
+                    pos, rows, v, lam, z, U, B, u2, noise, best_obj, best_W, inner_prev = (
+                        a[~stop] for a in (pos, rows, v, lam, z, U, B, u2, noise,
+                                           best_obj, best_W, inner_prev))
+            v, lam, z, W = held
     except SolverError as err:
         # a failure converted from numpy carries the iterations run so far
-        err.trace = err.trace or list(trace)
+        err.trace = err.trace or list(traces[blame])
         raise
-    return BeamformerState(W=W, U=U, user_rates=user_totals, objective=obj,
-                           power=tx_power(W), diagnostics=diag, trace=trace)
+    return states
 
 
 def optimize(layout: StreamLayout, H, P_T, N0, options: SolverOptions | None = None):
@@ -477,6 +506,11 @@ def optimize(layout: StreamLayout, H, P_T, N0, options: SolverOptions | None = N
     by derive_seed(init_seed, r); the best result is kept, with the
     diagnostics of all restarts merged by DIAGNOSTICS.
 
+    The restarts run in lockstep, each step batched over the runs still
+    stepping, with the bits of one-at-a-time runs.  The transmit update is
+    still one solve_tx_with_power call per run: its multiplier search is a
+    scalar loop per run, and wrappers of it read one scalar multiplier.
+
     Returns a BeamformerState whose ``objective`` is the worst-user rate
     of the final transmit vectors under their own LMMSE receivers.  Inputs
     are checked by require_problem.
@@ -484,20 +518,16 @@ def optimize(layout: StreamLayout, H, P_T, N0, options: SolverOptions | None = N
     opt = options or SolverOptions()
     require_problem(layout, H, P_T, N0)
 
-    states = []
-    for r in range(opt.n_restarts):
-        # two structured starts (group-SVD, zero-forcing), then seeded random
-        # ones; the nulling start matters at high SNR where interference dominates
-        if r == 0:
-            W0 = group_svd_init(layout, H, P_T)
-        elif r == 1:
-            W0 = zf_beamformers(layout, H, P_T, N0).W
-        else:
-            rng = seeded_rng(derive_seed(opt.init_seed, r))
-            shape = (layout.n_streams, H.shape[2])
-            W0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            W0 *= np.sqrt(P_T / tx_power(W0))
-        states.append(_optimize_single(layout, H, P_T, N0, opt, W0))
+    # two structured starts (group-SVD, zero-forcing), then seeded random
+    # ones; the nulling start matters at high SNR where interference dominates
+    starts = [group_svd_init(layout, H, P_T)]
+    if opt.n_restarts > 1:
+        starts.append(zf_beamformers(layout, H, P_T, N0).W)
+    for r in range(2, opt.n_restarts):
+        rng = seeded_rng(derive_seed(opt.init_seed, r))
+        W0 = rng.standard_normal(starts[0].shape) + 1j * rng.standard_normal(starts[0].shape)
+        starts.append(W0 * np.sqrt(P_T / tx_power(W0)))
+    states = _optimize_single(layout, H, P_T, N0, opt, np.stack(starts))
     best = max(states, key=lambda state: state.objective)  # the first of equals
     best.diagnostics = merge_diagnostics(state.diagnostics for state in states)
     return best

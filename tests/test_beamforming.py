@@ -455,10 +455,11 @@ def test_restart_start_schedule(monkeypatch):
     # and later ones from a random draw seeded by derive_seed(init_seed, r)
     rng = np.random.default_rng(13)
     lay, H, _ = random_instance(rng, 3, 2, 3, ((0, 1), (0, 2), (1, 2)), 1)
-    real, starts = beamforming._optimize_single, []
+    # all restarts go to the lockstep solver as the rows of one stacked W
+    real, stacks = beamforming._optimize_single, []
 
     def record(layout, H, P_T, N0, opt, W):
-        starts.append(W.copy())
+        stacks.append(W.copy())
         return real(layout, H, P_T, N0, opt, W)
 
     monkeypatch.setattr(beamforming, "_optimize_single", record)
@@ -467,7 +468,91 @@ def test_restart_start_schedule(monkeypatch):
     W2 = draw.standard_normal((3, 3)) + 1j * draw.standard_normal((3, 3))
     W2 *= np.sqrt(10.0 / tx_power(W2))
     expected = [group_svd_init(lay, H, 10.0), zf_beamformers(lay, H, 10.0, 1.0).W, W2]
-    assert [w.tobytes() for w in starts] == [w.tobytes() for w in expected]
+    assert len(stacks) == 1 and stacks[0].shape == (3, 3, 3)
+    assert [w.tobytes() for w in stacks[0]] == [w.tobytes() for w in expected]
+
+
+# the layouts of test_solver_invariants_random_instances: (nU, G, L, groups, q)
+INVARIANT_CASES = [
+    (2, 2, 2, ((0, 1),), 2),
+    (3, 2, 3, ((0, 1), (0, 2), (1, 2)), 1),
+    (2, 2, 3, ((0,), (1,)), 1),
+    (3, 3, 4, ((0, 1, 2),), 2),
+]
+
+
+def _run_bytes(st):
+    return (st.W.tobytes(), st.U.tobytes(), st.user_rates.tobytes(), st.objective.hex(),
+            st.power.hex(), st.trace)
+
+
+@pytest.mark.parametrize("gradient", ["common_rate", "per_user"])
+@pytest.mark.parametrize("R", [3, 16])
+def test_lockstep_runs_match_single_runs_bit_for_bit(R, gradient):
+    # every row of one stacked solve equals that start solved alone: the
+    # invariant-test layouts at random power, plus criterion 4's channel 0
+    rng = np.random.default_rng(23)
+    problems = []
+    for nU, G, L, groups, q in INVARIANT_CASES:
+        H = (rng.standard_normal((nU, G, L)) + 1j * rng.standard_normal((nU, G, L))) * np.sqrt(0.5)
+        problems.append((StreamLayout(tuple(range(nU)), groups, q), H, 10.0 ** rng.uniform(0, 3), 30))
+    problems.append((StreamLayout((0, 1), ((0, 1),), 2), sample_channels(20, 0, 2, 2, 2).H, 100.0, 60))
+    outer_counts = []
+    for lay, H, P_T, max_outer in problems:
+        opt = SolverOptions(gradient=gradient, max_outer=max_outer, keep_trace=True)
+        shape = (R, lay.n_streams, H.shape[2])
+        W = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        W *= np.sqrt(P_T / np.sum(np.abs(W) ** 2, axis=(1, 2)))[:, None, None]
+        stacked = beamforming._optimize_single(lay, H, P_T, 1.0, opt, W)
+        alone = [beamforming._optimize_single(lay, H, P_T, 1.0, opt, w[None])[0] for w in W]
+        assert [_run_bytes(st) for st in stacked] == [_run_bytes(st) for st in alone]
+        assert [st.diagnostics for st in stacked] == [st.diagnostics for st in alone]
+        assert beamforming.merge_diagnostics(st.diagnostics for st in stacked) \
+            == beamforming.merge_diagnostics(st.diagnostics for st in alone)
+        outer_counts.append({st.diagnostics["outer_iterations"] for st in stacked})
+    # runs leaving the lockstep loop at different outer steps are covered
+    assert any(len(counts) > 1 for counts in outer_counts), outer_counts
+
+
+def test_lockstep_failure_carries_only_that_runs_trace(monkeypatch):
+    # the transmit update of restart 1 fails on the second inner step (call 5:
+    # restarts 0, 1, 2 each step); the error carries restart 1's one record
+    rng = np.random.default_rng(11)
+    lay, H, _ = random_instance(rng, 3, 2, 3, ((0, 1), (0, 2), (1, 2)), 1)
+    opt = SolverOptions(n_restarts=3)
+    W1 = zf_beamformers(lay, H, 10.0, 1.0).W
+    expected = beamforming._optimize_single(lay, H, 10.0, 1.0, opt, W1[None])[0].trace[:1]
+    real, calls = beamforming.solve_tx_with_power, []
+
+    @beamforming._typed_linalg
+    def solve_tx_with_power(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 5:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(beamforming, "solve_tx_with_power", solve_tx_with_power)
+    with pytest.raises(SolverError, match="solve_tx_with_power") as exc:
+        optimize(lay, H, 10.0, 1.0, options=opt)
+    assert exc.value.trace == expected
+
+
+def test_full_power_never_lowers_the_rate():
+    # with N0 > 0 and LMMSE receivers every SINR rises with the power of W, so
+    # scaling a returned W up to P_T never lowers the worst-user rate; the
+    # power_shortfall diagnostic reports how far below P_T the runs ended
+    rng = np.random.default_rng(55)  # criterion 5's problems
+    shortfalls = []
+    for idx, (nU, G, L, groups, q) in enumerate(INVARIANT_CASES):
+        H = (rng.standard_normal((nU, G, L)) + 1j * rng.standard_normal((nU, G, L))) * np.sqrt(0.5)
+        lay = StreamLayout(tuple(range(nU)), groups, q)
+        P_T = float(10.0 ** rng.uniform(0, 3))
+        st = optimize(lay, H, P_T, 1.0, options=SolverOptions(init_seed=idx, n_restarts=2))
+        full = st.W * np.sqrt(max(P_T / st.power, 1.0))
+        assert rate_objective(full, H, lay, 1.0) >= st.objective
+        assert 1.0 > st.diagnostics["power_shortfall"] >= max(0.0, 1.0 - st.power / P_T)
+        shortfalls.append(1.0 - st.power / P_T)
+    assert max(shortfalls) > 0.01  # the scaling is exercised, not only a rounding
 
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
