@@ -323,19 +323,25 @@ TOL = 1e-4  # objective change counted as no progress, inner and outer
 PATIENCE = 3  # consecutive sub-tolerance refreshes before stopping
 USER_WEIGHT_STEP = 0.5  # exponentiated step of the per-user priority weights
 
-# solver diagnostics, each with its start value and its merge across runs:
-# an invariant that holds per run keeps the worst value, a count the sum
+# solver diagnostics, each with its start value and the merge that folds in a run's
+# steps and then the runs: an invariant keeps the worst value, a count the sum
 DIAGNOSTICS = {"power_overrun": (0.0, max), "dual_norm_err": (0.0, max),
                "stationarity": (0.0, max), "outer_decrease": (0.0, max),
                "power_shortfall": (0.0, max),  # 1 - power / P_T of the returned set
                "outer_iterations": (0, operator.add)}
 
 
+def _fold(diag, **values):
+    """Fold each of ``values`` into the diagnostics ``diag`` by its DIAGNOSTICS merge."""
+    for key, val in values.items():
+        diag[key] = DIAGNOSTICS[key][1](diag[key], val)
+
+
 def merge_diagnostics(diags) -> dict:
     """The diagnostics of several runs merged by DIAGNOSTICS; the start values for none."""
     merged = {key: start for key, (start, _) in DIAGNOSTICS.items()}
     for diag in diags:
-        merged = {key: merge(merged[key], diag[key]) for key, (_, merge) in DIAGNOSTICS.items()}
+        _fold(merged, **diag)
     return merged
 
 
@@ -419,13 +425,11 @@ def _optimize_single(layout, H, P_T, N0, opt, W):
             stall = np.where(abs(obj - obj_prev) < TOL, stall + 1, 0)
             done = (stall >= PATIENCE) | (outer > opt.max_outer)
             for k, (r, drop) in enumerate(zip(runs, (obj_prev - obj).tolist())):
-                d = diags[r]
-                d["outer_decrease"] = max(d["outer_decrease"], drop)
-                d["outer_iterations"] = min(outer, opt.max_outer)
+                _fold(diags[r], outer_decrease=drop, outer_iterations=int(outer <= opt.max_outer))
                 if done[k]:
-                    d["power_shortfall"] = max(d["power_shortfall"], 1.0 - tx_power(W[k]) / P_T)
+                    _fold(diags[r], power_shortfall=1.0 - tx_power(W[k]) / P_T)
                     states[r] = BeamformerState(W[k], U[k], user_totals[k], float(obj[k]),
-                                                tx_power(W[k]), d, traces[r])
+                                                tx_power(W[k]), diags[r], traces[r])
             if done.all():
                 break
             if done.any():
@@ -465,9 +469,8 @@ def _optimize_single(layout, H, P_T, N0, opt, W):
                 obj_in = per_user_rates(W_it, H, layout, N0, U=U, terms=terms).min(axis=-1)
                 for r, (mu, power, resid), err, obj_r, r_c_r in zip(
                         rows, tx, norm_err.tolist(), obj_in.tolist(), r_c.tolist()):
-                    for key, val in (("stationarity", resid), ("dual_norm_err", err),
-                                     ("power_overrun", (power - P_T) / P_T)):
-                        diags[r][key] = max(diags[r][key], val)
+                    _fold(diags[r], stationarity=resid, dual_norm_err=err,
+                          power_overrun=(power - P_T) / P_T)
                     if opt.keep_trace:
                         traces[r].append(dict(outer=outer, inner=inner, objective=obj_r, power=power,
                                               mu=mu, stationarity=resid, r_c=r_c_r))

@@ -85,10 +85,12 @@ def test_verify_delivery_corrupt_fails(ini, capsys):
     assert "subpacket=" in out
 
 
-def test_verify_delivery_k_cap(tmp_path):
+def test_verify_delivery_k12_round_trip(tmp_path, capsys):
+    # the planner, not a K cap, decides which networks verify-delivery takes
     ini = tmp_path / "big.ini"
-    ini.write_text("[network]\nK = 12\nL = 3\nG = 2\nN = 12\nM = 1\n")
-    assert main(["verify-delivery", "--config", str(ini)]) == EXIT_CONFIG
+    ini.write_text("[network]\nK = 12\nL = 3\nG = 1\nN = 12\nM = 3\n")
+    assert main(["verify-delivery", "--config", str(ini)]) == EXIT_OK
+    assert capsys.readouterr().out.count("PASS user=") == 12
 
 
 def test_simulate_writes_traces(ini, tmp_path, capsys):
@@ -132,6 +134,13 @@ def test_simulate_snr_overflow_exit_code(ini, capsys):
 
 def test_simulate_bad_snr_leaves_no_out_dir(ini, tmp_path):
     assert main(["simulate", "--config", ini, "--snr", "4000"]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scheme, code", [("bogus", EXIT_CONFIG), ("zf", EXIT_OK)])
+def test_simulate_without_traces_leaves_no_out_dir(ini, tmp_path, scheme, code):
+    # out_dir is made with the first trace file, and only kkt_lmmse writes traces
+    assert main(["simulate", "--config", ini, "--snr", "10", "--scheme", scheme]) == code
     assert not (tmp_path / "out").exists()
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -105,6 +106,16 @@ def test_sweep_csv_shape_and_scheme_ordering():
     assert lines[-1].startswith("zf,10,")
     for line in lines[1:]:
         assert len(line.split(",")) == 7
+
+
+def test_sweep_meta_is_json():
+    # the machine-readable record of a sweep: plain JSON, its solver
+    # diagnostics built-in numbers (no numpy scalar leaks from the merges)
+    meta = small_sweep(schemes=("kkt_lmmse",)).meta
+    assert json.loads(json.dumps(meta)) == meta
+    diag = meta["solver_diagnostics"]
+    assert diag["outer_iterations"] > 0
+    assert all(type(val) in (int, float) for val in diag.values()), diag
 
 
 def test_sweep_solver_beats_zf_on_average():
