@@ -177,11 +177,7 @@ def rate_objective(W, H, layout, N0, U=None, terms=None) -> float:
 
 def closed_form_mu(lam, U, P_T) -> float:
     """Power-constraint multiplier from the dual stationarity identity."""
-    return _mu_of(lam, _sq_norms(U), P_T)
-
-
-def _mu_of(lam, u2, P_T) -> float:
-    return float(np.sum(lam * u2)) / P_T
+    return float(np.sum(lam * _sq_norms(U))) / P_T
 
 
 def tx_power(W) -> float:
@@ -208,65 +204,89 @@ def _replayed(power_of, evals, R2, P_T, mu):
     return power_of
 
 
+def _tx_answer(A, rhs, rhs_norm, evals, Q, Rt, mu):
+    """W = rhs (A + mu I)^-T by the eigenvectors of A, and its largest residual
+    relative to a nonzero row of rhs (0 with none), over leading batch axes."""
+    mu = np.asarray(mu)[..., None]
+    W = (Q @ (Rt / (evals + mu)[..., None])).swapaxes(-1, -2)
+    resid = np.linalg.norm(W @ (A + mu[..., None] * np.eye(A.shape[-1])).swapaxes(-1, -2) - rhs,
+                           axis=-1)
+    return W, np.divide(resid, rhs_norm, out=np.zeros_like(resid), where=rhs_norm > 0).max(axis=-1)
+
+
 @_typed_linalg
+def _tx_system(lam, B, u2, P_T):
+    """The transmit update but for its multiplier search, over leading batch axes
+    with the bits of unbatched calls (entry k is the ``rx`` of run k's
+    solve_tx_with_power): A = sum lam B B^H, rhs, |rhs|, mu0 = max(closed_form_mu,
+    MU_FLOOR), A's eigenvalues (floored at 0) and vectors Q, Rt = Q^H rhs^T,
+    R2 = |Rt|^2, and at mu0 the set W, its power and its residual."""
+    A = np.einsum("...us,...usl,...usm->...lm", lam, B, B.conj())
+    rhs = np.einsum("...us,...usl->...sl", lam, B)  # (..., nS, L)
+    rhs_norm = np.linalg.norm(rhs, axis=-1)
+    mu = np.maximum(np.sum(lam * u2, axis=(-2, -1)) / P_T, MU_FLOOR)
+    evals, Q = np.linalg.eigh(A)
+    evals = np.maximum(evals, 0.0)
+    Rt = Q.conj().swapaxes(-1, -2) @ rhs.swapaxes(-1, -2)  # (..., L, nS)
+    R2 = np.abs(Rt) ** 2
+    power = np.sum(R2 / (evals + mu[..., None])[..., None] ** 2, axis=(-2, -1))
+    W, rel = _tx_answer(A, rhs, rhs_norm, evals, Q, Rt, mu)
+    return A, rhs, rhs_norm, mu, evals, Q, Rt, R2, W, power, rel
+
+
 def solve_tx_with_power(U, lam, H, P_T, rx=None):
     """Transmit update with the multiplier chosen to respect the power budget.
 
     The multiplier comes from the dual identity (closed_form_mu); when the
     resulting power overshoots the budget, bisection finds the multiplier
     putting total power at P_T (within 1e-6 relative) instead.  Returns
-    (W, mu, power, stationarity residual); ``rx``, if given, is _receiver_terms(H, U).
+    (W, mu, power, stationarity residual).
+
+    The rest is _tx_system, which the solver runs batched over its runs and
+    passes as ``rx`` (by default it is built from U, lam and H).  Only the
+    choice of the multiplier stays per run: most updates keep mu0 and return
+    ``rx`` as it is, a search is a scalar loop of its own length, and wrappers
+    of this function read one scalar multiplier per call.
 
     The bisection is replayed bit for bit: the same midpoints and decisions,
     with power_of run only inside the bracket (a, b) of _replayed.  power_of
     is non-increasing in mu, so beyond a or b the side is known and the window
     cannot be hit; the last midpoint is always evaluated.
     """
-    B, u2 = rx or _receiver_terms(H, U)
-    A = np.einsum("us,usl,usm->lm", lam, B, B.conj())
-    rhs = np.einsum("us,usl->sl", lam, B)  # (nS, L)
-    rhs_norm = np.linalg.norm(rhs, axis=1)
-    mu = max(_mu_of(lam, u2, P_T), MU_FLOOR)
-
+    A, rhs, rhs_norm, mu, evals, Q, Rt, R2, W, power, rel = \
+        rx or _tx_system(lam, *_receiver_terms(H, U), P_T)
+    mu, power = float(mu), float(power)
     if not np.any(rhs_norm > 0):
         return np.zeros_like(rhs), mu, 0.0, 0.0
-
-    evals, Q = np.linalg.eigh(A)
-    evals = np.maximum(evals, 0.0)
-    Rt = Q.conj().T @ rhs.T  # (L, nS)
-    R2 = np.abs(Rt) ** 2
+    if not power > P_T * (1 + 1e-6):
+        return W, mu, power, float(rel)
 
     def power_of(mu):
         return float(np.sum(R2 / (evals + mu)[:, None] ** 2))
 
-    power = power_of(mu)
-    if power > P_T * (1 + 1e-6):
-        replayed = _replayed(power_of, evals, R2, P_T, mu)
-        # bisection on [MU_FLOOR, hi]; power is non-increasing in mu, so
-        # power_of(MU_FLOOR) > P_T as well
-        lo, hi = MU_FLOOR, 1.0
-        for _ in range(200):
-            if replayed(hi) <= P_T:
-                break
-            hi *= 2.0
-        else:
-            raise SolverError(f"power bisection bracket failed: power({hi}) > {P_T}")
-        for _ in range(200):
-            mu = 0.5 * (lo + hi)
-            power = replayed(mu)
-            # half the documented 1e-6 relative window, so the power budget
-            # invariant holds strictly even after float rounding
-            if abs(power - P_T) <= 5e-7 * P_T:
-                break
-            lo, hi = (mu, hi) if power > P_T else (lo, mu)
-        else:
-            raise SolverError(f"power bisection did not converge: bracket [{lo}, {hi}], "
-                              f"power {power_of(mu)}, target {P_T}")
-
-    W = (Q @ (Rt / (evals + mu)[:, None])).T
-    resid = np.linalg.norm(W @ (A + mu * np.eye(A.shape[0])).T - rhs, axis=1)
-    rel = float(np.max(resid[rhs_norm > 0] / rhs_norm[rhs_norm > 0]))
-    return W, mu, power, rel
+    replayed = _replayed(power_of, evals, R2, P_T, mu)
+    # bisection on [MU_FLOOR, hi]; power is non-increasing in mu, so
+    # power_of(MU_FLOOR) > P_T as well
+    lo, hi = MU_FLOOR, 1.0
+    for _ in range(200):
+        if replayed(hi) <= P_T:
+            break
+        hi *= 2.0
+    else:
+        raise SolverError(f"power bisection bracket failed: power({hi}) > {P_T}")
+    for _ in range(200):
+        mu = 0.5 * (lo + hi)
+        power = replayed(mu)
+        # half the documented 1e-6 relative window, so the power budget
+        # invariant holds strictly even after float rounding
+        if abs(power - P_T) <= 5e-7 * P_T:
+            break
+        lo, hi = (mu, hi) if power > P_T else (lo, mu)
+    else:
+        raise SolverError(f"power bisection did not converge: bracket [{lo}, {hi}], "
+                          f"power {power_of(mu)}, target {P_T}")
+    W, rel = _tx_answer(A, rhs, rhs_norm, evals, Q, Rt, mu)
+    return W, mu, power, float(rel)
 
 
 def update_rates(v, eps, layout, log_eps=None):
@@ -328,7 +348,8 @@ USER_WEIGHT_STEP = 0.5  # exponentiated step of the per-user priority weights
 DIAGNOSTICS = {"power_overrun": (0.0, max), "dual_norm_err": (0.0, max),
                "stationarity": (0.0, max), "outer_decrease": (0.0, max),
                "power_shortfall": (0.0, max),  # 1 - power / P_T of the returned set
-               "outer_iterations": (0, operator.add)}
+               "outer_iterations": (0, operator.add),
+               "closed_form_accepts": (0, operator.add)}  # transmit updates keeping mu0
 
 
 def _fold(diag, **values):
@@ -443,9 +464,15 @@ def _optimize_single(layout, H, P_T, N0, opt, W):
             best_obj, best_W, inner_prev = obj, W, np.full(len(runs), -math.inf)
             for inner in range(1, MAX_INNER + 1):
                 lam_eff = lam * (z * nU)[..., None]
+                try:
+                    system = _tx_system(lam_eff, B, u2, P_T)
+                except SolverError:  # raised again by the first run whose own system fails
+                    for blame, lam_r, B_r, u2_r in zip(rows, lam_eff, B, u2):
+                        _tx_system(lam_r, B_r, u2_r, P_T)
+                    raise
                 W_it, tx = np.empty_like(best_W), []
-                for j, blame in enumerate(rows.tolist()):
-                    W_it[j], *out = solve_tx_with_power(U[j], lam_eff[j], H, P_T, rx=(B[j], u2[j]))
+                for j, (blame, rx) in enumerate(zip(rows.tolist(), zip(*system))):
+                    W_it[j], *out = solve_tx_with_power(U[j], lam_eff[j], H, P_T, rx=rx)
                     tx.append(out)
                     if not np.isfinite(W_it[j]).all():
                         raise SolverError("non-finite values in transmit vectors")
@@ -467,10 +494,11 @@ def _optimize_single(layout, H, P_T, N0, opt, W):
                 z /= z.sum(axis=-1, keepdims=True)
 
                 obj_in = per_user_rates(W_it, H, layout, N0, U=U, terms=terms).min(axis=-1)
-                for r, (mu, power, resid), err, obj_r, r_c_r in zip(
-                        rows, tx, norm_err.tolist(), obj_in.tolist(), r_c.tolist()):
+                for r, (mu, power, resid), mu0, err, obj_r, r_c_r in zip(
+                        rows, tx, system[3].tolist(), norm_err.tolist(), obj_in.tolist(),
+                        r_c.tolist()):
                     _fold(diags[r], stationarity=resid, dual_norm_err=err,
-                          power_overrun=(power - P_T) / P_T)
+                          power_overrun=(power - P_T) / P_T, closed_form_accepts=int(mu == mu0))
                     if opt.keep_trace:
                         traces[r].append(dict(outer=outer, inner=inner, objective=obj_r, power=power,
                                               mu=mu, stationarity=resid, r_c=r_c_r))
@@ -510,9 +538,11 @@ def optimize(layout: StreamLayout, H, P_T, N0, options: SolverOptions | None = N
     diagnostics of all restarts merged by DIAGNOSTICS.
 
     The restarts run in lockstep, each step batched over the runs still
-    stepping, with the bits of one-at-a-time runs.  The transmit update is
-    still one solve_tx_with_power call per run: its multiplier search is a
-    scalar loop per run, and wrappers of it read one scalar multiplier.
+    stepping, with the bits of one-at-a-time runs.  That includes the
+    transmit update's linear algebra (_tx_system); only its choice of the
+    power multiplier is one solve_tx_with_power call per run, because a
+    search on an overshooting run is a scalar loop of its own length and
+    wrappers of the call read one scalar multiplier.
 
     Returns a BeamformerState whose ``objective`` is the worst-user rate
     of the final transmit vectors under their own LMMSE receivers.  Inputs

@@ -238,9 +238,18 @@ def cmd_simulate(rc: RunConfig, args) -> int:
     return EXIT_OK
 
 
+def _open_output(path):
+    """``path`` opened for writing, its directory made first; a path that cannot
+    be written (an empty or non-directory out_dir, say) is a ConfigError."""
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        return open(path, "w")
+    except OSError as err:
+        raise ConfigError(f"cannot write output file {path!r}: {err}") from None
+
+
 def _write_trace(path, trace):
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w") as fh:
+    with _open_output(path) as fh:
         fh.write("outer inner objective power mu stationarity r_c\n")
         for rec in trace:
             fh.write(f"{rec['outer']} {rec['inner']} {rec['objective']:.10g} "
@@ -257,12 +266,11 @@ def cmd_sweep(rc: RunConfig, args) -> int:
         subset_sample=sw.subset_sample, options=rc.solver,
         oracle_restarts=sw.oracle_restarts, workers=args.workers,
     )
-    os.makedirs(rc.output.out_dir, exist_ok=True)
     csv_path = os.path.join(rc.output.out_dir, "sweep.csv")
     dat_path = os.path.join(rc.output.out_dir, "sweep.dat")
-    with open(csv_path, "w") as fh:
+    with _open_output(csv_path) as fh:
         fh.write(report.to_csv())
-    with open(dat_path, "w") as fh:
+    with _open_output(dat_path) as fh:
         fh.write(report.plot_data())
     print(report.to_csv(), end="")
     print(f"wrote {csv_path} and {dat_path} "

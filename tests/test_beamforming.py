@@ -246,7 +246,7 @@ def test_replayed_bisection_matches_plain_bisection_bit_for_bit(monkeypatch):
 
     monkeypatch.setattr(beamforming, "_replayed", spy)
     rng = np.random.default_rng(1313)
-    kinds = {"zero": 0, "closed_form": 0, "bisection": 0, "doubled_10": 0}
+    problems = []
     for trial in range(600):
         users, groups, q, G, L = CRITERION_5_LAYOUTS[trial % 4]
         lay, H, W = random_instance(rng, len(users), G, L, groups, q,
@@ -255,12 +255,25 @@ def test_replayed_bisection_matches_plain_bisection_bit_for_bit(monkeypatch):
         # large weights, as small MSEs give them, push the multiplier's root up
         scale = 0.0 if trial % 50 == 0 else 10.0 ** rng.uniform(-2, 5)
         lam = np.where(lay.member, scale * rng.uniform(0.1, 2.0, lay.member.shape), 0.0)
-        P_T = float(10.0 ** rng.uniform(-3, 6))
+        problems.append((U, lam, H, float(10.0 ** rng.uniform(-3, 6))))
+    # the rx= case takes each problem's entry of one _tx_system call over the
+    # stacked problems of its layout, each with its own channel and budget
+    rows = {}
+    for first in range(4):
+        trials = range(first, 600, 4)
+        terms = [beamforming._receiver_terms(problems[t][2], problems[t][0]) for t in trials]
+        system = beamforming._tx_system(np.stack([problems[t][1] for t in trials]),
+                                        np.stack([B for B, _ in terms]),
+                                        np.stack([u2 for _, u2 in terms]),
+                                        np.array([problems[t][3] for t in trials]))
+        rows.update(zip(trials, zip(*system)))
+    kinds = {"zero": 0, "closed_form": 0, "bisection": 0, "doubled_10": 0}
+    for trial, (U, lam, H, P_T) in enumerate(problems):
         want = _plain_bisection_tx(U, lam, H, P_T)
         for got in (solve_tx_with_power(U, lam, H, P_T),
-                    solve_tx_with_power(U, lam, H, P_T, rx=beamforming._receiver_terms(H, U))):
+                    solve_tx_with_power(U, lam, H, P_T, rx=rows[trial])):
             assert np.array_equal(got[0], want[0]) and got[1:] == want[1:], trial
-        if scale == 0.0:
+        if not lam.any():
             kinds["zero"] += 1
         elif want[1] == max(closed_form_mu(lam, U, P_T), MU_FLOOR):
             kinds["closed_form"] += 1
@@ -515,8 +528,10 @@ def test_lockstep_runs_match_single_runs_bit_for_bit(R, gradient):
 
 
 def test_lockstep_failure_carries_only_that_runs_trace(monkeypatch):
-    # the transmit update of restart 1 fails on the second inner step (call 5:
-    # restarts 0, 1, 2 each step); the error carries restart 1's one record
+    # the transmit update of restart 1 fails on the second inner step, first in
+    # its own call (call 5: restarts 0, 1, 2 each step), then in the batched
+    # system, whose eigh fails on restart 1's system alone; either error
+    # carries restart 1's one record
     rng = np.random.default_rng(11)
     lay, H, _ = random_instance(rng, 3, 2, 3, ((0, 1), (0, 2), (1, 2)), 1)
     opt = SolverOptions(n_restarts=3)
@@ -531,10 +546,24 @@ def test_lockstep_failure_carries_only_that_runs_trace(monkeypatch):
             raise np.linalg.LinAlgError("Singular matrix")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(beamforming, "solve_tx_with_power", solve_tx_with_power)
-    with pytest.raises(SolverError, match="solve_tx_with_power") as exc:
-        optimize(lay, H, 10.0, 1.0, options=opt)
-    assert exc.value.trace == expected
+    real_eigh, batched, failing = np.linalg.eigh, [], []
+
+    def eigh(A):
+        batched.append(A.ndim == 3)
+        if sum(batched) == 2 and not failing:  # the second batched step
+            failing.append(A[1].copy())  # restart 1's system
+        if any(np.array_equal(a, F) for a in A.reshape(-1, *A.shape[-2:]) for F in failing):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_eigh(A)
+
+    for module, fake, where in ((beamforming, solve_tx_with_power, "solve_tx_with_power"),
+                                (np.linalg, eigh, "_tx_system")):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, fake.__name__, fake)
+            with pytest.raises(SolverError, match=where) as exc:
+                optimize(lay, H, 10.0, 1.0, options=opt)
+        assert exc.value.trace == expected
+    assert failing  # the batched system failed
 
 
 def test_full_power_never_lowers_the_rate():

@@ -34,14 +34,19 @@ def test_tracer_patches_and_restores_every_binding():
         # like the benchmark, call through the package namespace
         cfg = ccmimo.NetworkConfig(K=3, L=2, G=2, N=3, M=1)
         plan = ccmimo.plan_transmissions(cfg, 2, 1, 1)
-        ccmimo.monte_carlo_sweep(cfg, plan, ["kkt_lmmse", "zf"], [10.0], 1, seed=1,
-                                 options=ccmimo.SolverOptions(max_outer=2, n_restarts=2))
+        rep = ccmimo.monte_carlo_sweep(cfg, plan, ["kkt_lmmse", "zf"], [10.0], 1, seed=1,
+                                       options=ccmimo.SolverOptions(max_outer=2, n_restarts=2))
     after = bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
-    calls = tracer.snapshot()["calls"]
+    snapshot = tracer.snapshot()
+    calls = snapshot["calls"]
     for layer in ("evaluate.sweep", "channel.sample", "beamforming.optimize",
                   "beamforming.tx_update", "beamforming.lmmse", "beamforming.mse",
                   "beamforming.rate_eval", "beamforming.duals", "beamforming.zf",
                   "beamforming.init", "delivery.plan"):
         assert calls.get(layer, 0) > 0, (layer, calls)
+    # the tracer's closed-form accepts, recomputed from each call's arguments,
+    # are the ones the solver counts itself
+    accepts = rep.meta["solver_diagnostics"]["closed_form_accepts"]
+    assert snapshot["mu_accepts"] == accepts > 0, (snapshot["mu_accepts"], accepts)

@@ -345,6 +345,25 @@ def test_sweep_flag_overrides(ini, tmp_path):
     assert lines[1].startswith("zf,10,")
 
 
+SIMULATE = ["simulate", "--snr", "10"]
+SWEEP_ZF = ["sweep", "--workers", "1", "--snr", "10", "--realizations", "1", "--scheme", "zf"]
+
+
+@pytest.mark.parametrize("argv, out, first", [
+    (SIMULATE, "", "trace_tx0.txt"),
+    (SWEEP_ZF, "", "sweep.csv"),
+    (SIMULATE, "{file}", "trace_tx0.txt"),
+    (SWEEP_ZF, "{file}/x", "sweep.csv"),
+], ids=["simulate-empty", "sweep-empty", "simulate-file", "sweep-below-file"])
+def test_unwritable_out_dir_exit_code(ini, tmp_path, capsys, argv, out, first):
+    # an empty out dir, an existing file as the out dir or one below a file is
+    # a configuration error naming the first output path, not a raw OSError
+    (tmp_path / "file").write_text("")
+    out = out.format(file=tmp_path / "file")
+    assert main([argv[0], "--config", ini, *argv[1:], "--out", out]) == EXIT_CONFIG
+    assert repr(os.path.join(out, first)) in capsys.readouterr().err
+
+
 def test_dump_command(ini, capsys):
     assert main(["dump", "--config", ini]) == EXIT_OK
     out = capsys.readouterr().out
