@@ -166,9 +166,9 @@ def per_user_rates(W, H, layout, N0, U=None, terms=None):
     return masked.min(axis=-2).sum(axis=-1)
 
 
-def rate_objective(W, H, layout, N0, U=None, terms=None) -> float:
+def rate_objective(W, H, layout, N0) -> float:
     """Worst-user rate of one transmission, the quantity the solver maximizes."""
-    return float(per_user_rates(W, H, layout, N0, U=U, terms=terms).min())
+    return float(per_user_rates(W, H, layout, N0).min())
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +256,6 @@ def solve_tx_with_power(U, lam, H, P_T, rx=None):
     A, rhs, rhs_norm, mu, evals, Q, Rt, R2, W, power, rel = \
         rx or _tx_system(lam, *_receiver_terms(H, U), P_T)
     mu, power = float(mu), float(power)
-    if not np.any(rhs_norm > 0):
-        return np.zeros_like(rhs), mu, 0.0, 0.0
     if not power > P_T * (1 + 1e-6):
         return W, mu, power, float(rel)
 
@@ -517,8 +515,8 @@ def _optimize_single(layout, H, P_T, N0, opt, W):
                                            best_obj, best_W, inner_prev))
             v, lam, z, W = held
     except SolverError as err:
-        # a failure converted from numpy carries the iterations run so far
-        err.trace = err.trace or list(traces[blame])
+        # the failing run's iterations so far
+        err.trace = list(traces[blame])
         raise
     return states
 

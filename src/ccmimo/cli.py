@@ -50,7 +50,6 @@ class SweepConfig:
     schemes: list[str] = field(default_factory=lambda: ["kkt_lmmse", "zf"])
     seed: int = 1
     subset_sample: int | None = None
-    oracle_restarts: int = 40
 
 
 @dataclass
@@ -216,7 +215,7 @@ def cmd_simulate(rc: RunConfig, args) -> int:
         path = os.path.join(rc.output.out_dir, f"trace_tx{i}.txt")
         try:
             r, design = run_scheme(scheme, layout, Hs, snr, net.N0, rc.solver,
-                                   rc.sweep.oracle_restarts, rc.sweep.seed, 0, i)
+                                   rc.sweep.seed, 0, i)
         except SolverError as err:
             _write_trace(path, err.trace)
             print(f"solver failed on transmission {i}; trace at {path}: {err}")
@@ -231,6 +230,8 @@ def cmd_simulate(rc: RunConfig, args) -> int:
             line += (f" power={design.power:.4f} "
                      f"outers={design.diagnostics['outer_iterations']} trace={path}")
         print(line)
+        if not r > 0:  # the sweep's rule: such a realization fails
+            raise SolverError(f"transmission {i}: rate {r} is not positive")
         rates.append(r)
 
     rsym = symmetric_rate(rates, net.K, plan.theta)
@@ -238,12 +239,13 @@ def cmd_simulate(rc: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _open_output(path):
-    """``path`` opened for writing, its directory made first; a path that cannot
-    be written (an empty or non-directory out_dir, say) is a ConfigError."""
+def _open_output(path, dir_only=False):
+    """``path`` opened for writing, its directory made first (only that with
+    ``dir_only``); a path that cannot be written (an empty or non-directory
+    out_dir, say) is a ConfigError."""
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        return open(path, "w")
+        return None if dir_only else open(path, "w")
     except OSError as err:
         raise ConfigError(f"cannot write output file {path!r}: {err}") from None
 
@@ -261,13 +263,13 @@ def cmd_sweep(rc: RunConfig, args) -> int:
     net = rc.network
     dp, plan = resolve_plan(rc)
     sw = rc.sweep
-    report = monte_carlo_sweep(
-        net, plan, sw.schemes, sw.snr_db, sw.realizations, sw.seed,
-        subset_sample=sw.subset_sample, options=rc.solver,
-        oracle_restarts=sw.oracle_restarts, workers=args.workers,
-    )
     csv_path = os.path.join(rc.output.out_dir, "sweep.csv")
     dat_path = os.path.join(rc.output.out_dir, "sweep.dat")
+    _open_output(csv_path, dir_only=True)  # an unwritable out_dir fails before the run
+    report = monte_carlo_sweep(
+        net, plan, sw.schemes, sw.snr_db, sw.realizations, sw.seed,
+        subset_sample=sw.subset_sample, options=rc.solver, workers=args.workers,
+    )
     with _open_output(csv_path) as fh:
         fh.write(report.to_csv())
     with _open_output(dat_path) as fh:

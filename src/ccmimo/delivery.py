@@ -168,11 +168,7 @@ def plan_transmissions(config: NetworkConfig, omega: int, beta: int, q: int) -> 
                 members.append((k, j, sigma))
             schedule.append((i, T, tuple(members)))
 
-    plan = DeliveryPlan(config, omega, beta, q, serving, groups, tuple(schedule))
-    # every (user, subfile) pair must have been filled exactly n_subpackets times
-    n_sp = plan.n_subpackets
-    assert all(v == n_sp for v in counter.values())
-    return plan
+    return DeliveryPlan(config, omega, beta, q, serving, groups, tuple(schedule))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,4 @@ class DeliveryError(RuntimeError):
 class SolverError(RuntimeError):
     """Beamformer optimization diverged or violated its constraints."""
 
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = list(trace) if trace else []
+    trace = ()  # the failing run's iterations so far, where optimize raised it

@@ -25,6 +25,7 @@ from .delivery import DeliveryPlan
 from .errors import ConfigError, InputError, SolverError
 
 SCHEMES = ("kkt_lmmse", "zf", "oracle_smallscale")
+ORACLE_RESTARTS = 40  # oracle_smallscale's restarts per transmission
 
 DB_PER_BIT = np.log2(10.0) / 10.0  # high-SNR slope of log2(1+snr) per dB
 
@@ -91,8 +92,8 @@ class RateReport:
         return [p.mean_rsym for p in self.points if p.scheme == scheme]
 
 
-def run_scheme(scheme, layout, H, snr_db, N0, options: SolverOptions, oracle_restarts: int,
-               seed: int, realization: int, subset_idx: int):
+def run_scheme(scheme, layout, H, snr_db, N0, options: SolverOptions, seed: int,
+               realization: int, subset_idx: int):
     """Worst-user rate of one transmission under one scheme at ``snr_db``, and
     the design behind it: a BeamformerState, a ZfResult, or the oracle's transmit set.
 
@@ -114,7 +115,7 @@ def run_scheme(scheme, layout, H, snr_db, N0, options: SolverOptions, oracle_res
         res = zf_beamformers(layout, H, P_T, N0)
         return rate_objective(res.W, H, layout, N0), res
     return oracle.max_rate_projected_gradient(H, layout.groups, layout.q, P_T, N0,
-                                              restarts=oracle_restarts, seed=run_seed)
+                                              restarts=ORACLE_RESTARTS, seed=run_seed)
 
 
 def draw_transmissions(config: NetworkConfig, seed: int, realization: int, transmissions):
@@ -124,8 +125,7 @@ def draw_transmissions(config: NetworkConfig, seed: int, realization: int, trans
     return [(i, layout, cs.H[list(layout.users)]) for i, layout in transmissions]
 
 
-def _sweep_job(config, schemes, transmissions, options, seed, oracle_restarts,
-               snr_db, realization):
+def _sweep_job(config, schemes, transmissions, options, seed, snr_db, realization):
     """One realization over the whole SNR grid: the rates of each (scheme, SNR)
     pair over the selected ``(subset_idx, layout)`` transmissions, keyed like
     ``RateReport.rates`` and left out where a solver failed or a rate was not
@@ -139,7 +139,7 @@ def _sweep_job(config, schemes, transmissions, options, seed, oracle_restarts,
             for subset_idx, layout, Hs in channels:
                 try:
                     r, design = run_scheme(scheme, layout, Hs, snr, config.N0, options,
-                                           oracle_restarts, seed, realization, subset_idx)
+                                           seed, realization, subset_idx)
                 except SolverError:
                     break
                 if scheme == "kkt_lmmse":
@@ -154,8 +154,7 @@ def _sweep_job(config, schemes, transmissions, options, seed, oracle_restarts,
 
 def monte_carlo_sweep(config: NetworkConfig, plan: DeliveryPlan, schemes, snr_db,
                       n_realizations: int, seed: int, subset_sample=None,
-                      options: SolverOptions | None = None, oracle_restarts: int = 40,
-                      workers: int = 1) -> RateReport:
+                      options: SolverOptions | None = None, workers: int = 1) -> RateReport:
     """Paired Monte Carlo comparison of delivery schemes over an SNR grid.
 
     Every scheme and SNR point shares the channel draw of a realization.
@@ -190,8 +189,7 @@ def monte_carlo_sweep(config: NetworkConfig, plan: DeliveryPlan, schemes, snr_db
 
     t0 = time.time()
     transmissions = tuple((i, layout_for_subset(plan, i)) for i in subsets)
-    job = functools.partial(_sweep_job, config, schemes, transmissions, options, seed,
-                            oracle_restarts, snr_db)
+    job = functools.partial(_sweep_job, config, schemes, transmissions, options, seed, snr_db)
     workers = min(workers, n_realizations)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

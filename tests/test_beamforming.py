@@ -8,6 +8,7 @@ from ccmimo import (ConfigError, InputError, NetworkConfig, SolverError, SolverO
                     StreamLayout, group_svd_init, lmmse_receivers, mse, optimize,
                     plan_transmissions, rate_objective, sinr, zf_beamformers,
                     zf_leakage)
+import ccmimo.evaluate
 from ccmimo import beamforming
 from ccmimo.beamforming import (MU_FLOOR, closed_form_mu, layout_for_subset,
                                 per_user_rates, solve_tx_with_power, tx_power,
@@ -140,10 +141,21 @@ def test_update_tx_zero_weights():
     rng = np.random.default_rng(3)
     U = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
     H = rng.standard_normal((2, 2, 3)) + 1j * rng.standard_normal((2, 2, 3))
-    W, mu, power, _ = solve_tx_with_power(U, np.zeros((2, 2)), H, 1.0)
-    assert np.allclose(W, 0)
-    assert power == 0.0
-    assert mu > 0
+    # zero dual weights, and zero receivers under positive weights: either way
+    # rhs is zero and the update at mu0 is exactly zero, called alone or given
+    # one entry of a batched _tx_system as the solver does
+    for U, lam in ((U, np.zeros((2, 2))), (np.zeros_like(U), np.ones((2, 2)))):
+        B, u2 = beamforming._receiver_terms(H, U[None])
+        entry = next(zip(*beamforming._tx_system(lam[None], B, u2, 1.0)))
+        for rx in (None, entry):
+            W, mu, power, resid = solve_tx_with_power(U, lam, H, 1.0, rx=rx)
+            assert np.allclose(W, 0)
+            assert power == 0.0
+            assert mu > 0
+            assert not W.any()
+            assert not np.signbit(W.real).any() and not np.signbit(W.imag).any()
+            assert mu == entry[3]
+            assert resid == 0.0
 
 
 def test_closed_form_mu():
@@ -719,7 +731,7 @@ def test_zf_zero_channel_is_solver_error():
         zf_beamformers(lay, np.zeros((2, 2, 3), dtype=complex), 4.0, 1.0)
 
 
-def test_singular_receiver_covariance_is_solver_error():
+def test_singular_receiver_covariance_is_solver_error(monkeypatch):
     # both receive antennas see the same channel, and at 200 dB the noise
     # term vanishes next to the signal: every receiver covariance is singular
     lay = StreamLayout(users=(0, 1), groups=((0, 1),), q=1)
@@ -727,10 +739,11 @@ def test_singular_receiver_covariance_is_solver_error():
     H[:, 1] = H[:, 0]
     with pytest.raises(SolverError, match="lmmse_receivers"):
         optimize(lay, H, 1e20, 1.0)
+    monkeypatch.setattr(ccmimo.evaluate, "ORACLE_RESTARTS", 1)
     with pytest.raises(SolverError, match="lmmse_receivers"):
-        run_scheme("zf", lay, H, 200.0, 1.0, SolverOptions(), 1, 0, 0, 0)
+        run_scheme("zf", lay, H, 200.0, 1.0, SolverOptions(), 0, 0, 0)
     with pytest.raises(SolverError, match="rate_with_ideal_receivers"):
-        run_scheme("oracle_smallscale", lay, H, 200.0, 1.0, SolverOptions(), 1, 0, 0, 0)
+        run_scheme("oracle_smallscale", lay, H, 200.0, 1.0, SolverOptions(), 0, 0, 0)
 
 
 def test_converted_solver_error_carries_trace(monkeypatch):

@@ -2,15 +2,17 @@ import os
 import shlex
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
 import ccmimo
 from ccmimo import SolverError
-from ccmimo.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VERIFY, _build_parser,
-                        load_run_config, main, resolve_plan)
+from ccmimo.cli import (_PER_CALL, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VERIFY, RunConfig,
+                        _build_parser, load_run_config, main, resolve_plan)
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
 
@@ -153,9 +155,7 @@ def test_simulate_oracle_scheme_runs_oracle(ini, monkeypatch, capsys):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(ccmimo.oracle, "max_rate_projected_gradient", counted)
-    text = Path(ini).read_text()
-    with open(ini, "w") as fh:
-        fh.write(text.replace("seed = 1", "seed = 1\noracle_restarts = 2"))
+    monkeypatch.setattr(ccmimo.evaluate, "ORACLE_RESTARTS", 2)
     assert main(["simulate", "--config", ini, "--snr", "10",
                  "--scheme", "oracle_smallscale"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -178,6 +178,7 @@ def test_unknown_solver_key_exit_code(ini, capsys):
     ("N0 = 1.0", "P_T = 2.0", "network.p_t"),  # power comes only from an SNR
     ("omega = 3", "omgea = 3", "plan.omgea"),
     ("seed = 1", "realisations = 3", "sweep.realisations"),
+    ("seed = 1", "oracle_restarts = 40", "sweep.oracle_restarts"),  # evaluate.ORACLE_RESTARTS
     ("seed = 1", "\n[verify]\ndesk_scale_cap = 8", "unknown section [verify]"),
     ("out_dir = {out}", "outdir = x", "output.outdir"),
     ("seed = 1", "\n[sweeps]\nseed = 2", "[sweeps]"),
@@ -204,20 +205,6 @@ def test_zero_solver_counts_exit_code(ini, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["sweep", "--workers", "1", "--scheme", "oracle_smallscale"],
-    ["simulate", "--snr", "10", "--scheme", "oracle_smallscale"],
-])
-def test_no_oracle_restarts_exit_code(ini, capsys, argv):
-    text = Path(ini).read_text()
-    with open(ini, "w") as fh:
-        fh.write(text.replace("seed = 1", "seed = 1\noracle_restarts = 0"))
-    assert main([argv[0], "--config", ini] + argv[1:]) == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert "oracle restarts must be >= 1" in captured.err
-    assert "rate=" not in captured.out
-
-
-@pytest.mark.parametrize("argv", [
     ["sweep", "--workers", "1"], ["simulate", "--snr", "10"], ["verify-delivery"], ["dump"],
     ["sweep", "--realizations", "0", "--workers", "1"],  # no draw uses the seed
 ])
@@ -233,6 +220,23 @@ def test_readme_run_config_loads(tmp_path):
     path.write_text(block)
     rc = load_run_config(str(path))
     assert rc.network.K == 4 and rc.sweep.realizations == 20
+
+
+def test_readme_lists_every_run_file_key():
+    # the README's run file names every key load_run_config takes, commented
+    # pins included, and no other
+    readme = Path(README).read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    listed, section = set(), None
+    for line in block.splitlines():
+        line = line.lstrip("; ")
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif "=" in line:
+            listed.add(f"{section}.{line.split('=')[0].strip()}")
+    schema = {f"{name}.{f.name}" for name, cls in get_type_hints(RunConfig).items()
+              for f in fields(cls) if f.name not in _PER_CALL}
+    assert listed == schema
 
 
 def test_readme_commands_parse(tmp_path):
@@ -262,6 +266,17 @@ def test_simulate_singular_channel_exits_solver_error(ini, monkeypatch, capsys):
     assert main(["simulate", "--config", ini, "--snr", "200",
                  "--scheme", "oracle_smallscale"]) == EXIT_SOLVER
     assert "rate_with_ideal_receivers: Singular matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scheme", ["kkt_lmmse", "zf"])
+def test_simulate_rate_underflow_exits_solver_error(ini, capsys, scheme):
+    # -200 dB is a valid SNR whose rates underflow to 0; like the sweep, which
+    # counts such a realization as failed, simulate stops at the first one
+    assert main(["simulate", "--config", ini, "--snr", "-200", "--scheme", scheme]) \
+        == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert "solver error: transmission 0: rate 0.0 is not positive" in captured.err
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == ["transmission 0"]
 
 
 @pytest.mark.parametrize("flags", [
@@ -355,13 +370,17 @@ SWEEP_ZF = ["sweep", "--workers", "1", "--snr", "10", "--realizations", "1", "--
     (SIMULATE, "{file}", "trace_tx0.txt"),
     (SWEEP_ZF, "{file}/x", "sweep.csv"),
 ], ids=["simulate-empty", "sweep-empty", "simulate-file", "sweep-below-file"])
-def test_unwritable_out_dir_exit_code(ini, tmp_path, capsys, argv, out, first):
+def test_unwritable_out_dir_exit_code(ini, tmp_path, monkeypatch, capsys, argv, out, first):
     # an empty out dir, an existing file as the out dir or one below a file is
-    # a configuration error naming the first output path, not a raw OSError
+    # a configuration error naming the first output path, not a raw OSError;
+    # a sweep finds it before it runs
+    swept = []
+    monkeypatch.setattr(ccmimo.cli, "monte_carlo_sweep", lambda *a, **kw: swept.append(a))
     (tmp_path / "file").write_text("")
     out = out.format(file=tmp_path / "file")
     assert main([argv[0], "--config", ini, *argv[1:], "--out", out]) == EXIT_CONFIG
     assert repr(os.path.join(out, first)) in capsys.readouterr().err
+    assert swept == []
 
 
 def test_dump_command(ini, capsys):
@@ -382,7 +401,7 @@ def test_simulate_matches_sweep_point(tmp_path, monkeypatch, capsys, scheme, n_r
     path = tmp_path / "k3.ini"
     path.write_text("[network]\nK = 3\nL = 2\nG = 2\nN = 3\nM = 1\n\n"
                     f"[solver]\nmax_outer = 15\nn_restarts = {n_restarts}\n\n"
-                    "[sweep]\nseed = 77\noracle_restarts = 3\n\n"
+                    "[sweep]\nseed = 77\n\n"
                     f"[output]\nout_dir = {tmp_path / 'out'}\n")
     real, rates = ccmimo.cli.run_scheme, []
 
@@ -392,6 +411,7 @@ def test_simulate_matches_sweep_point(tmp_path, monkeypatch, capsys, scheme, n_r
         return out
 
     monkeypatch.setattr(ccmimo.cli, "run_scheme", recorded)
+    monkeypatch.setattr(ccmimo.evaluate, "ORACLE_RESTARTS", 3)
     assert main(["simulate", "--config", str(path), "--snr", snr, "--scheme", scheme]) == EXIT_OK
     printed = [line.split("rate=")[1].split()[0]
                for line in capsys.readouterr().out.splitlines() if line.startswith("transmission")]
@@ -399,7 +419,7 @@ def test_simulate_matches_sweep_point(tmp_path, monkeypatch, capsys, scheme, n_r
     rc = load_run_config(str(path))
     _, plan = resolve_plan(rc)
     report = ccmimo.monte_carlo_sweep(rc.network, plan, [scheme], grid, 1, seed=77,
-                                      options=rc.solver, oracle_restarts=3)
+                                      options=rc.solver)
     want = report.rates[(scheme, float(snr), 0)]
     assert len(want) == plan.n_transmissions == 3
     assert tuple(rates) == want

@@ -140,11 +140,11 @@ def test_sweep_subset_subsampling_recorded():
     assert rep.mean_curve("zf")[0] == pytest.approx(full.mean_curve("zf")[0], rel=0.5)
 
 
-def test_sweep_oracle_scheme_runs():
+def test_sweep_oracle_scheme_runs(monkeypatch):
+    monkeypatch.setattr(ccmimo.evaluate, "ORACLE_RESTARTS", 5)
     cfg = NetworkConfig(K=2, L=2, G=2, N=2, M=1)
     plan = plan_transmissions(cfg, 2, 2, 2)
-    rep = monte_carlo_sweep(cfg, plan, ["oracle_smallscale"], [10.0], 1, seed=2,
-                            oracle_restarts=5)
+    rep = monte_carlo_sweep(cfg, plan, ["oracle_smallscale"], [10.0], 1, seed=2)
     assert rep.points[0].n_ok == 1
     assert rep.points[0].mean_rsym > 0
 
@@ -184,14 +184,15 @@ def test_sweep_pool_capped_at_job_count(monkeypatch):
     assert asked == [3]
 
 
-def test_scheme_seed_independent_of_list_position():
+def test_scheme_seed_independent_of_list_position(monkeypatch):
     # each scheme draws the seed of its index in SCHEMES, so listing another
     # scheme before the oracle leaves the oracle's rates unchanged
     cfg = NetworkConfig(K=3, L=2, G=2, N=3, M=1)
     plan = plan_transmissions(cfg, 2, 1, 1)
+    monkeypatch.setattr(ccmimo.evaluate, "ORACLE_RESTARTS", 4)
 
     def oracle_rates(schemes):
-        rep = monte_carlo_sweep(cfg, plan, schemes, [15.0], 1, seed=77, oracle_restarts=4)
+        rep = monte_carlo_sweep(cfg, plan, schemes, [15.0], 1, seed=77)
         return rep.rates[("oracle_smallscale", 15.0, 0)]
 
     assert oracle_rates(["kkt_lmmse", "oracle_smallscale"]) == oracle_rates(["oracle_smallscale"])
@@ -228,11 +229,12 @@ def _stress_channel(kind, rng):
 
 
 @pytest.mark.parametrize("scheme", ["kkt_lmmse", "zf", "oracle_smallscale"])
-def test_run_scheme_stress_only_typed_errors(scheme):
+def test_run_scheme_stress_only_typed_errors(monkeypatch, scheme):
     # seeded sweep over extreme SNRs and degenerate channels: a scheme either
     # raises a typed error or returns a finite rate within the power budget
     lay = StreamLayout(users=(0, 1, 2), groups=((0, 1), (0, 2), (1, 2)), q=1)
     options = SolverOptions(max_outer=4, n_restarts=1, keep_trace=False)
+    monkeypatch.setattr(ccmimo.evaluate, "ORACLE_RESTARTS", 2)
     rng = np.random.default_rng(2024)
     outcomes = []
     for kind in ("random", "rank1", "zero", "nan"):
@@ -240,7 +242,7 @@ def test_run_scheme_stress_only_typed_errors(scheme):
         for snr_db in (-20.0, 0.0, 30.0, 100.0, 200.0):
             P_T = 10.0 ** (snr_db / 10.0)
             try:
-                r, design = run_scheme(scheme, lay, H, snr_db, 1.0, options, 2, 5, 0, 0)
+                r, design = run_scheme(scheme, lay, H, snr_db, 1.0, options, 5, 0, 0)
             except (SolverError, InputError) as err:
                 outcomes.append((kind, snr_db, type(err).__name__))
                 continue
@@ -258,4 +260,4 @@ def test_run_scheme_stress_only_typed_errors(scheme):
     for snr_db, N0 in ((-math.inf, 1.0), (math.inf, 1.0), (math.nan, 1.0), (4000.0, 1.0),
                        (0.0, 0.0), (0.0, math.nan)):
         with pytest.raises(ConfigError):
-            run_scheme(scheme, lay, H, snr_db, N0, options, 2, 5, 0, 0)
+            run_scheme(scheme, lay, H, snr_db, N0, options, 5, 0, 0)
