@@ -178,7 +178,6 @@ def test_unknown_solver_key_exit_code(ini, capsys):
     ("N0 = 1.0", "P_T = 2.0", "network.p_t"),  # power comes only from an SNR
     ("omega = 3", "omgea = 3", "plan.omgea"),
     ("seed = 1", "realisations = 3", "sweep.realisations"),
-    ("seed = 1", "oracle_restarts = 40", "sweep.oracle_restarts"),  # evaluate.ORACLE_RESTARTS
     ("seed = 1", "\n[verify]\ndesk_scale_cap = 8", "unknown section [verify]"),
     ("out_dir = {out}", "outdir = x", "output.outdir"),
     ("seed = 1", "\n[sweeps]\nseed = 2", "[sweeps]"),
@@ -188,6 +187,21 @@ def test_unknown_key_in_any_section_exit_code(tmp_path, capsys, after, line, whe
     path.write_text(BASE_INI.replace(after, after + "\n" + line).format(out=tmp_path / "out"))
     assert main(["plan", "--config", str(path)]) == EXIT_CONFIG
     assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--workers", "1", "--scheme", "oracle_smallscale"],
+    ["simulate", "--snr", "10", "--scheme", "oracle_smallscale"],
+])
+def test_no_oracle_restarts_exit_code(ini, capsys, argv):
+    # The oracle's restart count is the constant evaluate.ORACLE_RESTARTS, not a run-file key.
+    text = Path(ini).read_text()
+    with open(ini, "w") as fh:
+        fh.write(text.replace("seed = 1", "seed = 1\noracle_restarts = 0"))
+    assert main([argv[0], "--config", ini] + argv[1:]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "sweep.oracle_restarts" in captured.err
+    assert "rate=" not in captured.out
 
 
 def test_zero_workers_exit_code(ini, capsys):
