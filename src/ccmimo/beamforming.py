@@ -85,9 +85,11 @@ def layout_for_subset(plan, i: int) -> StreamLayout:
 
 
 def require_problem(layout: StreamLayout, H, P_T, N0):
-    """The input check of every solve: P_T and N0 positive and finite, every entry
-    of H finite (an InputError), and one (G, L) matrix in H per user of ``layout``."""
+    """The input check of every solve: P_T and N0 positive and finite, H a numeric array
+    of finite entries (an InputError), and one (G, L) matrix in H per user of ``layout``."""
     require_positive(P_T=P_T, N0=N0)
+    if not isinstance(H, np.ndarray) or H.dtype.kind not in "iufc":
+        raise InputError(f"channel set must be a numeric array, got {getattr(H, 'dtype', type(H))}")
     if not np.all(np.isfinite(H)):
         raise InputError("channel matrices must be finite, found NaN or inf")
     if np.ndim(H) != 3 or len(H) != layout.n_users:
@@ -415,10 +417,10 @@ def group_svd_init(layout: StreamLayout, H, P_T):
 
 def _optimize_single(layout, H, P_T, N0, opt, W):
     """Run the starts W (R, n_streams, L) in lockstep, bit for bit as if each ran
-    alone: one BeamformerState per start.  The arrays of the runs still stepping
-    are compacted only when a run leaves the outer loop (patience or max_outer)
-    or the inner one (the TOL break).  A SolverError carries its run's trace."""
-    member, nU, R = layout.member, layout.n_users, len(W)
+    alone: one BeamformerState per start, or the SolverError and trace of the first
+    start to fail alone.  The runs still stepping are compacted only when one
+    leaves the outer loop (patience or max_outer) or the inner one (TOL break)."""
+    member, nU, R, starts = layout.member, layout.n_users, len(W), W
     eta = STEP_PER_SLOT * layout.q
     per_user = opt.gradient == "per_user"  # else the dual step targets the common rate
     v = np.repeat(np.where(member, 1.0 / nU, 0.0)[None], R, axis=0)
@@ -426,18 +428,12 @@ def _optimize_single(layout, H, P_T, N0, opt, W):
     z = np.full((R, nU), 1.0 / nU)  # per-user priority weights
     traces, diags, states = [[] for _ in W], [merge_diagnostics(()) for _ in W], [None] * R
     runs = np.arange(R)  # the run of each row still in the outer loop
-    blame = 0  # the run a SolverError is raised for
     # obj_prev starts at -inf, so the first step is neither a decrease nor a stall
     obj_prev, stall = np.full(R, -math.inf), np.zeros(R, dtype=int)
     try:
         # the step past max_outer only scores the last inner loop's transmit set
         for outer in range(1, opt.max_outer + 2):
-            try:
-                U = lmmse_receivers(W, H, N0, member)
-            except SolverError:  # raised again by the first run whose receivers fail alone
-                for blame, w in zip(runs, W):
-                    lmmse_receivers(w, H, N0, member)
-                raise
+            U = lmmse_receivers(W, H, N0, member)
             B, u2 = _receiver_terms(H, U)
             user_totals = per_user_rates(W, H, layout, N0, U=U)
             obj = user_totals.min(axis=-1)
@@ -462,23 +458,17 @@ def _optimize_single(layout, H, P_T, N0, opt, W):
             best_obj, best_W, inner_prev = obj, W, np.full(len(runs), -math.inf)
             for inner in range(1, MAX_INNER + 1):
                 lam_eff = lam * (z * nU)[..., None]
-                try:
-                    system = _tx_system(lam_eff, B, u2, P_T)
-                except SolverError:  # raised again by the first run whose own system fails
-                    for blame, lam_r, B_r, u2_r in zip(rows, lam_eff, B, u2):
-                        _tx_system(lam_r, B_r, u2_r, P_T)
-                    raise
+                system = _tx_system(lam_eff, B, u2, P_T)
                 W_it, tx = np.empty_like(best_W), []
-                for j, (blame, rx) in enumerate(zip(rows.tolist(), zip(*system))):
+                for j, rx in enumerate(zip(*system)):
                     W_it[j], *out = solve_tx_with_power(U[j], lam_eff[j], H, P_T, rx=rx)
                     tx.append(out)
-                    if not np.isfinite(W_it[j]).all():
-                        raise SolverError("non-finite values in transmit vectors")
+                if not np.isfinite(W_it).all():
+                    raise SolverError("non-finite values in transmit vectors")
 
                 terms = _power_terms(W_it, H, U, N0, noise)  # shared by the MSEs and the rate
                 eps = mse(W_it, H, U, N0, terms=terms)
                 if not np.isfinite(eps).all():
-                    blame = rows[np.isfinite(eps).reshape(len(eps), -1).all(axis=1).argmin()]
                     raise SolverError("non-finite values in stream MSEs")
                 log_eps = np.log2(np.maximum(eps, EPS_FLOOR))  # shared by both updates
                 rates, r_c = update_rates(v, eps, layout, log_eps=log_eps)
@@ -515,9 +505,11 @@ def _optimize_single(layout, H, P_T, N0, opt, W):
                                            best_obj, best_W, inner_prev))
             v, lam, z, W = held
     except SolverError as err:
-        # the failing run's iterations so far
-        err.trace = list(traces[blame])
-        raise
+        if R == 1:  # the run's iterations so far
+            err.trace = list(traces[0])
+        for w in starts if R > 1 else ():  # solved alone in order, the first to fail raises
+            _optimize_single(layout, H, P_T, N0, opt, w[None])
+        raise  # the lockstep error, untraced if R > 1: no start failed alone
     return states
 
 
@@ -540,7 +532,9 @@ def optimize(layout: StreamLayout, H, P_T, N0, options: SolverOptions | None = N
     transmit update's linear algebra (_tx_system); only its choice of the
     power multiplier is one solve_tx_with_power call per run, because a
     search on an overshooting run is a scalar loop of its own length and
-    wrappers of the call read one scalar multiplier.
+    wrappers of the call read one scalar multiplier.  A failed lockstep step
+    re-solves the restarts one at a time, so the SolverError raised is that of
+    the lowest-index restart to fail alone, with that restart's trace.
 
     Returns a BeamformerState whose ``objective`` is the worst-user rate
     of the final transmit vectors under their own LMMSE receivers.  Inputs

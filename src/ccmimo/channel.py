@@ -33,10 +33,11 @@ def seeded_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def require_positive(**values):
-    """Raise ConfigError unless every named value is positive and finite."""
+    """Raise ConfigError unless every named value is a positive finite real, not a bool."""
     for name, value in values.items():
-        if not 0 < value < math.inf:  # also false for NaN
-            raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                or not 0 < value < math.inf:  # also false for NaN
+            raise ConfigError(f"{name} must be positive and finite, got {value!r}")
 
 
 def require_count(least, below=math.inf, **values):

@@ -79,6 +79,8 @@ def build_placement(config: NetworkConfig, library: Sequence[bytes]) -> Placemen
     """
     if len(library) != config.N:
         raise InputError(f"library has {len(library)} files, config says N={config.N}")
+    if not all(isinstance(f, bytes) for f in library):
+        raise InputError(f"library files must be bytes, got {[type(f).__name__ for f in library]}")
     sizes = {len(f) for f in library}
     if len(sizes) != 1:
         raise InputError(f"library files must have equal size, got sizes {sorted(sizes)}")

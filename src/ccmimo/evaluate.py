@@ -35,8 +35,8 @@ def symmetric_rate(rates, K: int, theta: int, factor: float = 1.0) -> float:
     rates = [float(r) for r in rates]
     if not rates:
         raise InputError("no per-transmission rates given")
-    if any(r <= 0 for r in rates):
-        raise InputError(f"non-positive per-transmission rate in {rates}")
+    if not all(0 < r < np.inf for r in rates):  # also false for NaN
+        raise InputError(f"non-positive or non-finite per-transmission rate in {rates}")
     return K * theta / (factor * sum(1.0 / r for r in rates))
 
 
@@ -164,16 +164,16 @@ def monte_carlo_sweep(config: NetworkConfig, plan: DeliveryPlan, schemes, snr_db
     Realizations where a solver fails or a rate is non-positive are
     discarded and counted; ``meta["solver_diagnostics"]`` merges every
     kkt_lmmse run's.  Deterministic for a fixed seed.  An empty scheme
-    list or SNR grid, a negative realization count or seed, or a subset
-    sample or worker count below one is a ConfigError.
+    list or SNR grid, a repeated scheme or SNR, a negative realization count
+    or seed, or a subset sample or worker count below one is a ConfigError.
     """
     schemes = list(schemes)
     snr_db = [float(s) for s in snr_db]
     for s in schemes:
         if s not in SCHEMES:
             raise ConfigError(f"unknown scheme {s!r}; expected one of {SCHEMES}")
-    if not schemes or not snr_db:
-        raise ConfigError(f"empty sweep: schemes={schemes}, snr_db={snr_db}")
+    if not 0 < len(set(schemes)) == len(schemes) or not 0 < len(set(snr_db)) == len(snr_db):
+        raise ConfigError(f"empty sweep or repeated point: schemes={schemes}, snr_db={snr_db}")
     require_count(0, n_realizations=n_realizations, seeds=seed)
     require_count(1, workers=workers,
                   **({} if subset_sample is None else {"subset_sample": subset_sample}))

@@ -15,6 +15,7 @@ from ccmimo.beamforming import (MU_FLOOR, closed_form_mu, layout_for_subset,
                                 update_duals, update_rates)
 from ccmimo.channel import derive_seed, sample_channels
 from ccmimo.evaluate import run_scheme
+from ccmimo.oracle import max_rate_projected_gradient
 
 LN2 = math.log(2.0)
 
@@ -542,21 +543,24 @@ def test_lockstep_runs_match_single_runs_bit_for_bit(R, gradient):
 def test_lockstep_failure_carries_only_that_runs_trace(monkeypatch):
     # the transmit update of restart 1 fails on the second inner step, first in
     # its own call (call 5: restarts 0, 1, 2 each step), then in the batched
-    # system, whose eigh fails on restart 1's system alone; either error
+    # system, whose eigh fails on restart 1's system alone; both fakes fail on
+    # content, so restart 1 fails again when solved alone, and either error
     # carries restart 1's one record
     rng = np.random.default_rng(11)
     lay, H, _ = random_instance(rng, 3, 2, 3, ((0, 1), (0, 2), (1, 2)), 1)
     opt = SolverOptions(n_restarts=3)
     W1 = zf_beamformers(lay, H, 10.0, 1.0).W
     expected = beamforming._optimize_single(lay, H, 10.0, 1.0, opt, W1[None])[0].trace[:1]
-    real, calls = beamforming.solve_tx_with_power, []
+    real, calls, failing_lam = beamforming.solve_tx_with_power, [], []
 
     @beamforming._typed_linalg
-    def solve_tx_with_power(*args, **kwargs):
+    def solve_tx_with_power(U, lam, *args, **kwargs):
         calls.append(1)
         if len(calls) == 5:
+            failing_lam.append(lam.copy())  # restart 1's weights
+        if any(np.array_equal(lam, F) for F in failing_lam):
             raise np.linalg.LinAlgError("Singular matrix")
-        return real(*args, **kwargs)
+        return real(U, lam, *args, **kwargs)
 
     real_eigh, batched, failing = np.linalg.eigh, [], []
 
@@ -575,7 +579,43 @@ def test_lockstep_failure_carries_only_that_runs_trace(monkeypatch):
             with pytest.raises(SolverError, match=where) as exc:
                 optimize(lay, H, 10.0, 1.0, options=opt)
         assert exc.value.trace == expected
-    assert failing  # the batched system failed
+    assert failing and failing_lam  # the batched system and restart 1's own call failed
+
+
+def test_lockstep_failure_is_the_sequential_one(monkeypatch):
+    # the transmit system fails on restart 2's first step and on restart 0's
+    # third.  The lockstep meets restart 2's failure first, but restarts solved
+    # one after another would fail in restart 0, so the solve raises restart
+    # 0's error with its two records
+    rng = np.random.default_rng(11)
+    lay, H, _ = random_instance(rng, 3, 2, 3, ((0, 1), (0, 2), (1, 2)), 1)
+    opt = SolverOptions(n_restarts=3)
+    real_single, real_eigh, stacks, systems = beamforming._optimize_single, np.linalg.eigh, [], []
+
+    def record(A):  # the transmit systems of one start solved alone
+        systems[-1].append(A[0].copy())
+        return real_eigh(A)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(beamforming, "_optimize_single",
+                      lambda *args: stacks.append(args[-1]) or real_single(*args))
+        optimize(lay, H, 10.0, 1.0, options=opt)
+        patch.setattr(np.linalg, "eigh", record)
+        traces = []
+        for w in stacks[0]:
+            systems.append([])
+            traces.append(real_single(lay, H, 10.0, 1.0, opt, w[None])[0].trace)
+    failing = [systems[2][0], systems[0][2]]
+
+    def eigh(A):
+        if any(np.array_equal(a, F) for a in A.reshape(-1, *A.shape[-2:]) for F in failing):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_eigh(A)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    with pytest.raises(SolverError, match="_tx_system") as exc:
+        optimize(lay, H, 10.0, 1.0, options=opt)
+    assert len(exc.value.trace) == 2 and exc.value.trace == traces[0][:2]
 
 
 def test_full_power_never_lowers_the_rate():
@@ -713,6 +753,25 @@ def test_non_finite_channel_is_input_error(bad):
         optimize(lay, H, 10.0, 1.0, options=SolverOptions(n_restarts=2))
     with pytest.raises(InputError, match="finite"):
         zf_beamformers(lay, H, 10.0, 1.0)
+
+
+@pytest.mark.parametrize("solver", ["optimize", "zf", "oracle"])
+@pytest.mark.parametrize("bad", [dict(H=list), dict(H=str), dict(P_T="10"), dict(P_T=None),
+                                 dict(P_T=10j), dict(P_T=True), dict(N0="1")])
+def test_non_numeric_solve_input_is_typed_error(solver, bad):
+    # a channel set that is not a numeric array is an InputError, a power or
+    # noise level that is not a real number a ConfigError
+    rng = np.random.default_rng(12)
+    lay, H, _ = random_instance(rng, 2, 2, 2, ((0, 1),), 2)
+    args = {"H": H, "P_T": 10.0, "N0": 1.0, **bad}
+    if "H" in bad:  # the channel set as nested lists, or as an array of strings
+        args["H"] = H.tolist() if bad["H"] is list else H.astype(str)
+    solve = {"optimize": lambda H, P_T, N0: optimize(lay, H, P_T, N0),
+             "zf": lambda H, P_T, N0: zf_beamformers(lay, H, P_T, N0),
+             "oracle": lambda H, P_T, N0: max_rate_projected_gradient(
+                 H, lay.groups, lay.q, P_T, N0, restarts=1, max_steps=1)}[solver]
+    with pytest.raises(InputError if "H" in bad else ConfigError):
+        solve(**args)
 
 
 def test_channel_user_count_must_match_layout():

@@ -366,6 +366,12 @@ def test_sweep_empty_snr_grid_exit_code(ini, capsys):
     assert "snr_db" in capsys.readouterr().err
 
 
+def test_sweep_repeated_snr_exit_code(ini, capsys):
+    # a repeated point would solve it twice and write two identical rows
+    assert main(["sweep", "--config", ini, "--workers", "1", "--snr", "5", "5"]) == EXIT_CONFIG
+    assert "repeated" in capsys.readouterr().err
+
+
 def test_sweep_flag_overrides(ini, tmp_path):
     assert main(["sweep", "--config", ini, "--workers", "1", "--snr", "10",
                  "--realizations", "1", "--scheme", "zf"]) == EXIT_OK

@@ -98,6 +98,9 @@ def test_placement_rejects_bad_library():
         build_placement(cfg, [b"x" * 10])  # wrong count
     with pytest.raises(InputError):
         build_placement(cfg, [b"x" * 10, b"y" * 11])  # unequal sizes
+    for library in (["ab", "cd"], [1, 2]):  # files that are not bytes
+        with pytest.raises(InputError, match="bytes"):
+            build_placement(cfg, library)
 
 
 def test_non_integer_budget_is_config_error():
@@ -106,7 +109,7 @@ def test_non_integer_budget_is_config_error():
     # every count must be a real integer: no floats, even integral ones, no bools
     for bad in (dict(L=2.5), dict(K=4.0), dict(G=True), dict(N=4.0), dict(M=1.0),
                 dict(file_size_bits=8192.0), dict(K="4"), dict(K=None), dict(N0=nan),
-                dict(N0=inf)):
+                dict(N0=inf), dict(N0="1"), dict(N0=True)):
         with pytest.raises(ConfigError):
             NetworkConfig(**{**dict(K=4, L=3, G=2, N=4, M=1), **bad})
     # numpy integers are integers

@@ -43,6 +43,9 @@ def test_symmetric_rate_rejects_nonpositive():
         symmetric_rate([1.0, 0.0], K=2, theta=2)
     with pytest.raises(InputError):
         symmetric_rate([], K=2, theta=2)
+    for bad in (math.nan, math.inf):  # not positive and finite either
+        with pytest.raises(InputError):
+            symmetric_rate([bad], 3, 3)
 
 
 def test_symmetric_rate_harmonic_bounds():
@@ -81,7 +84,7 @@ def test_sweep_empty():
     dict(subset_sample=0), dict(subset_sample=-1), dict(seed=-1),
     dict(seed=-1, n_realizations=0), dict(workers=0),
     dict(n_realizations=1.5), dict(subset_sample=1.5), dict(seed=1.5), dict(workers=1.5),
-    dict(workers=True),
+    dict(workers=True), dict(schemes=["zf", "zf"]), dict(snr_db=[5.0, 5.0]),
 ])
 def test_sweep_rejects_bad_arguments(bad):
     cfg = NetworkConfig(K=3, L=2, G=2, N=3, M=1)
