@@ -206,67 +206,16 @@ def _replayed(power_of, evals, R2, P_T, mu):
     return power_of
 
 
-def _tx_answer(A, rhs, rhs_norm, evals, Q, Rt, mu):
-    """W = rhs (A + mu I)^-T by the eigenvectors of A, and its largest residual
-    relative to a nonzero row of rhs (0 with none), over leading batch axes."""
-    mu = np.asarray(mu)[..., None]
-    W = (Q @ (Rt / (evals + mu)[..., None])).swapaxes(-1, -2)
-    resid = np.linalg.norm(W @ (A + mu[..., None] * np.eye(A.shape[-1])).swapaxes(-1, -2) - rhs,
-                           axis=-1)
-    return W, np.divide(resid, rhs_norm, out=np.zeros_like(resid), where=rhs_norm > 0).max(axis=-1)
-
-
-@_typed_linalg
-def _tx_system(lam, B, u2, P_T):
-    """The transmit update but for its multiplier search, over leading batch axes
-    with the bits of unbatched calls (entry k is the ``rx`` of run k's
-    solve_tx_with_power): A = sum lam B B^H, rhs, |rhs|, mu0 = max(closed_form_mu,
-    MU_FLOOR), A's eigenvalues (floored at 0) and vectors Q, Rt = Q^H rhs^T,
-    R2 = |Rt|^2, and at mu0 the set W, its power and its residual."""
-    A = np.einsum("...us,...usl,...usm->...lm", lam, B, B.conj())
-    rhs = np.einsum("...us,...usl->...sl", lam, B)  # (..., nS, L)
-    rhs_norm = np.linalg.norm(rhs, axis=-1)
-    mu = np.maximum(np.sum(lam * u2, axis=(-2, -1)) / P_T, MU_FLOOR)
-    evals, Q = np.linalg.eigh(A)
-    evals = np.maximum(evals, 0.0)
-    Rt = Q.conj().swapaxes(-1, -2) @ rhs.swapaxes(-1, -2)  # (..., L, nS)
-    R2 = np.abs(Rt) ** 2
-    power = np.sum(R2 / (evals + mu[..., None])[..., None] ** 2, axis=(-2, -1))
-    W, rel = _tx_answer(A, rhs, rhs_norm, evals, Q, Rt, mu)
-    return A, rhs, rhs_norm, mu, evals, Q, Rt, R2, W, power, rel
-
-
-def solve_tx_with_power(U, lam, H, P_T, rx=None):
-    """Transmit update with the multiplier chosen to respect the power budget.
-
-    The multiplier comes from the dual identity (closed_form_mu); when the
-    resulting power overshoots the budget, bisection finds the multiplier
-    putting total power at P_T (within 1e-6 relative) instead.  Returns
-    (W, mu, power, stationarity residual).
-
-    The rest is _tx_system, which the solver runs batched over its runs and
-    passes as ``rx`` (by default it is built from U, lam and H).  Only the
-    choice of the multiplier stays per run: most updates keep mu0 and return
-    ``rx`` as it is, a search is a scalar loop of its own length, and wrappers
-    of this function read one scalar multiplier per call.
-
-    The bisection is replayed bit for bit: the same midpoints and decisions,
-    with power_of run only inside the bracket (a, b) of _replayed.  power_of
-    is non-increasing in mu, so beyond a or b the side is known and the window
-    cannot be hit; the last midpoint is always evaluated.
-    """
-    A, rhs, rhs_norm, mu, evals, Q, Rt, R2, W, power, rel = \
-        rx or _tx_system(lam, *_receiver_terms(H, U), P_T)
-    mu, power = float(mu), float(power)
-    if not power > P_T * (1 + 1e-6):
-        return W, mu, power, float(rel)
-
+def _bisect_mu(evals, R2, P_T, mu0):
+    """The multiplier putting one system's power, sum R2 / (evals + mu)^2, within
+    5e-7 relative of P_T, and that power: bracket doubling from [MU_FLOOR, 1] and
+    bisection, replayed bit for bit (same midpoints and decisions) with power_of
+    run only inside _replayed's bracket, where the side is unknown."""
     def power_of(mu):
         return float(np.sum(R2 / (evals + mu)[:, None] ** 2))
 
-    replayed = _replayed(power_of, evals, R2, P_T, mu)
-    # bisection on [MU_FLOOR, hi]; power is non-increasing in mu, so
-    # power_of(MU_FLOOR) > P_T as well
+    replayed = _replayed(power_of, evals, R2, P_T, mu0)
+    # power is non-increasing in mu, so power_of(MU_FLOOR) > P_T as well
     lo, hi = MU_FLOOR, 1.0
     for _ in range(200):
         if replayed(hi) <= P_T:
@@ -280,13 +229,50 @@ def solve_tx_with_power(U, lam, H, P_T, rx=None):
         # half the documented 1e-6 relative window, so the power budget
         # invariant holds strictly even after float rounding
         if abs(power - P_T) <= 5e-7 * P_T:
-            break
+            return mu, power
         lo, hi = (mu, hi) if power > P_T else (lo, mu)
-    else:
-        raise SolverError(f"power bisection did not converge: bracket [{lo}, {hi}], "
-                          f"power {power_of(mu)}, target {P_T}")
-    W, rel = _tx_answer(A, rhs, rhs_norm, evals, Q, Rt, mu)
-    return W, mu, power, float(rel)
+    raise SolverError(f"power bisection did not converge: bracket [{lo}, {hi}], "
+                      f"power {power_of(mu)}, target {P_T}")
+
+
+@_typed_linalg
+def _tx_system(lam, B, u2, P_T):
+    """The transmit update W = rhs (A + mu I)^-T, A = sum lam B B^H, rhs = sum lam B,
+    of each run k along the leading axis of lam, B and u2 (and of P_T, if an array),
+    with the bits of a run alone.  mu is mu0 = max(closed_form_mu, MU_FLOOR) unless
+    the power at mu0 overshoots P_T (1 + 1e-6): then _bisect_mu, a scalar search per
+    overshooting run, puts it at P_T.  Returns mu0, W, mu, the power and the largest
+    residual relative to a nonzero row of rhs (0 with none), each with run k at k."""
+    A = np.einsum("...us,...usl,...usm->...lm", lam, B, B.conj())
+    rhs = np.einsum("...us,...usl->...sl", lam, B)  # (..., nS, L)
+    mu0 = np.maximum(np.sum(lam * u2, axis=(-2, -1)) / P_T, MU_FLOOR)
+    evals, Q = np.linalg.eigh(A)
+    evals = np.maximum(evals, 0.0)
+    Rt = Q.conj().swapaxes(-1, -2) @ rhs.swapaxes(-1, -2)  # (..., L, nS)
+    R2 = np.abs(Rt) ** 2
+    power = np.sum(R2 / (evals + mu0[..., None])[..., None] ** 2, axis=(-2, -1))
+    mu, P_T = mu0.copy(), np.full_like(mu0, P_T)
+    for k in (power > P_T * (1 + 1e-6)).nonzero()[0]:
+        mu[k], power[k] = _bisect_mu(evals[k], R2[k], float(P_T[k]), float(mu0[k]))
+    W = (Q @ (Rt / (evals + mu[..., None])[..., None])).swapaxes(-1, -2)
+    resid = np.linalg.norm(W @ (A + mu[..., None, None] * np.eye(A.shape[-1])).swapaxes(-1, -2)
+                           - rhs, axis=-1)
+    rhs_norm = np.linalg.norm(rhs, axis=-1)
+    rel = np.divide(resid, rhs_norm, out=np.zeros_like(resid), where=rhs_norm > 0).max(axis=-1)
+    return mu0.tolist(), W, mu.tolist(), power.tolist(), rel.tolist()
+
+
+def solve_tx_with_power(U, lam, H, P_T, rx=None):
+    """Transmit update with the multiplier chosen to respect the power budget.
+
+    The multiplier comes from the dual identity (closed_form_mu); when the
+    resulting power overshoots the budget, bisection finds the multiplier
+    putting total power at P_T (within 1e-6 relative) instead.  Returns
+    (W, mu, power, stationarity residual): the view of one run's entry ``rx`` of
+    _tx_system, which the solver runs once per inner step for all its runs, the
+    search included; by default the entry is that of U, lam and H as one run.
+    """
+    return (rx or next(zip(*_tx_system(lam[None], *_receiver_terms(H, U[None]), P_T))))[1:]
 
 
 def update_rates(v, eps, layout, log_eps=None):
@@ -458,9 +444,9 @@ def _optimize_single(layout, H, P_T, N0, opt, W):
             best_obj, best_W, inner_prev = obj, W, np.full(len(runs), -math.inf)
             for inner in range(1, MAX_INNER + 1):
                 lam_eff = lam * (z * nU)[..., None]
-                system = _tx_system(lam_eff, B, u2, P_T)
+                system = _tx_system(lam_eff, B, u2, P_T)  # every run's update, search included
                 W_it, tx = np.empty_like(best_W), []
-                for j, rx in enumerate(zip(*system)):
+                for j, rx in enumerate(zip(*system)):  # each run's view, one call per run
                     W_it[j], *out = solve_tx_with_power(U[j], lam_eff[j], H, P_T, rx=rx)
                     tx.append(out)
                 if not np.isfinite(W_it).all():
@@ -483,7 +469,7 @@ def _optimize_single(layout, H, P_T, N0, opt, W):
 
                 obj_in = per_user_rates(W_it, H, layout, N0, U=U, terms=terms).min(axis=-1)
                 for r, (mu, power, resid), mu0, err, obj_r, r_c_r in zip(
-                        rows, tx, system[3].tolist(), norm_err.tolist(), obj_in.tolist(),
+                        rows, tx, system[0], norm_err.tolist(), obj_in.tolist(),
                         r_c.tolist()):
                     _fold(diags[r], stationarity=resid, dual_norm_err=err,
                           power_overrun=(power - P_T) / P_T, closed_form_accepts=int(mu == mu0))
@@ -528,11 +514,10 @@ def optimize(layout: StreamLayout, H, P_T, N0, options: SolverOptions | None = N
     diagnostics of all restarts merged by DIAGNOSTICS.
 
     The restarts run in lockstep, each step batched over the runs still
-    stepping, with the bits of one-at-a-time runs.  That includes the
-    transmit update's linear algebra (_tx_system); only its choice of the
-    power multiplier is one solve_tx_with_power call per run, because a
-    search on an overshooting run is a scalar loop of its own length and
-    wrappers of the call read one scalar multiplier.  A failed lockstep step
+    stepping, with the bits of one-at-a-time runs.  That includes the whole
+    transmit update, multiplier search and all (_tx_system); each run reads
+    its result through one solve_tx_with_power call, the entry point that the
+    benchmark's tracer counts.  A failed lockstep step
     re-solves the restarts one at a time, so the SolverError raised is that of
     the lowest-index restart to fail alone, with that restart's trace.
 

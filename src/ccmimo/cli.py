@@ -24,7 +24,7 @@ from .delivery import (build_codewords, build_placement, dump_codewords,
                        dump_plan, freshness_audit, plan_transmissions, verify_decode)
 from .dof import format_scan_table, optimize_dof
 from .errors import ConfigError, DeliveryError, InputError, PlanError, SolverError
-from .evaluate import draw_transmissions, monte_carlo_sweep, run_scheme, symmetric_rate
+from .evaluate import check_sweep, draw_transmissions, monte_carlo_sweep, run_scheme, symmetric_rate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -265,7 +265,9 @@ def cmd_sweep(rc: RunConfig, args) -> int:
     sw = rc.sweep
     csv_path = os.path.join(rc.output.out_dir, "sweep.csv")
     dat_path = os.path.join(rc.output.out_dir, "sweep.dat")
-    _open_output(csv_path, dir_only=True)  # an unwritable out_dir fails before the run
+    # rejected arguments fail before out_dir is made, an unwritable one before the run
+    check_sweep(sw.schemes, sw.snr_db, sw.realizations, sw.seed, sw.subset_sample, args.workers)
+    _open_output(csv_path, dir_only=True)
     report = monte_carlo_sweep(
         net, plan, sw.schemes, sw.snr_db, sw.realizations, sw.seed,
         subset_sample=sw.subset_sample, options=rc.solver, workers=args.workers,

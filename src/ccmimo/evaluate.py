@@ -19,7 +19,8 @@ import numpy as np
 from . import oracle
 from .beamforming import (SolverOptions, layout_for_subset, merge_diagnostics, optimize,
                           rate_objective, zf_beamformers)
-from .channel import derive_seed, require_count, sample_channels, seeded_rng, snr_to_power
+from .channel import (derive_seed, require_count, require_positive, sample_channels,
+                      seeded_rng, snr_to_power)
 from .config import NetworkConfig
 from .delivery import DeliveryPlan
 from .errors import ConfigError, InputError, SolverError
@@ -32,6 +33,8 @@ DB_PER_BIT = np.log2(10.0) / 10.0  # high-SNR slope of log2(1+snr) per dB
 
 def symmetric_rate(rates, K: int, theta: int, factor: float = 1.0) -> float:
     """Whole-plan symmetric rate: K * theta over ``factor`` times the summed inverse rates."""
+    require_count(1, K=K, theta=theta)
+    require_positive(factor=factor)
     rates = [float(r) for r in rates]
     if not rates:
         raise InputError("no per-transmission rates given")
@@ -152,6 +155,23 @@ def _sweep_job(config, schemes, transmissions, options, seed, snr_db, realizatio
     return rates, merge_diagnostics(diags)
 
 
+def check_sweep(schemes, snr_db, n_realizations, seed, subset_sample, workers):
+    """monte_carlo_sweep's schemes as a list and SNR grid as floats.  An empty scheme
+    list or SNR grid, a repeated scheme or SNR, a negative realization count or
+    seed, or a subset sample or worker count below one is a ConfigError."""
+    schemes = list(schemes)
+    snr_db = [float(s) for s in snr_db]
+    for s in schemes:
+        if s not in SCHEMES:
+            raise ConfigError(f"unknown scheme {s!r}; expected one of {SCHEMES}")
+    if not 0 < len(set(schemes)) == len(schemes) or not 0 < len(set(snr_db)) == len(snr_db):
+        raise ConfigError(f"empty sweep or repeated point: schemes={schemes}, snr_db={snr_db}")
+    require_count(0, n_realizations=n_realizations, seeds=seed)
+    require_count(1, workers=workers,
+                  **({} if subset_sample is None else {"subset_sample": subset_sample}))
+    return schemes, snr_db
+
+
 def monte_carlo_sweep(config: NetworkConfig, plan: DeliveryPlan, schemes, snr_db,
                       n_realizations: int, seed: int, subset_sample=None,
                       options: SolverOptions | None = None, workers: int = 1) -> RateReport:
@@ -163,20 +183,10 @@ def monte_carlo_sweep(config: NetworkConfig, plan: DeliveryPlan, schemes, snr_db
     n_transmissions / sample size; the report records the choice.
     Realizations where a solver fails or a rate is non-positive are
     discarded and counted; ``meta["solver_diagnostics"]`` merges every
-    kkt_lmmse run's.  Deterministic for a fixed seed.  An empty scheme
-    list or SNR grid, a repeated scheme or SNR, a negative realization count
-    or seed, or a subset sample or worker count below one is a ConfigError.
+    kkt_lmmse run's.  Deterministic for a fixed seed.  The arguments are
+    checked by check_sweep.
     """
-    schemes = list(schemes)
-    snr_db = [float(s) for s in snr_db]
-    for s in schemes:
-        if s not in SCHEMES:
-            raise ConfigError(f"unknown scheme {s!r}; expected one of {SCHEMES}")
-    if not 0 < len(set(schemes)) == len(schemes) or not 0 < len(set(snr_db)) == len(snr_db):
-        raise ConfigError(f"empty sweep or repeated point: schemes={schemes}, snr_db={snr_db}")
-    require_count(0, n_realizations=n_realizations, seeds=seed)
-    require_count(1, workers=workers,
-                  **({} if subset_sample is None else {"subset_sample": subset_sample}))
+    schemes, snr_db = check_sweep(schemes, snr_db, n_realizations, seed, subset_sample, workers)
     options = replace(options or SolverOptions(), keep_trace=False)
 
     n_tx = plan.n_transmissions

@@ -155,7 +155,7 @@ def test_update_tx_zero_weights():
             assert mu > 0
             assert not W.any()
             assert not np.signbit(W.real).any() and not np.signbit(W.imag).any()
-            assert mu == entry[3]
+            assert mu == entry[0]
             assert resid == 0.0
 
 
@@ -543,14 +543,15 @@ def test_lockstep_runs_match_single_runs_bit_for_bit(R, gradient):
 def test_lockstep_failure_carries_only_that_runs_trace(monkeypatch):
     # the transmit update of restart 1 fails on the second inner step, first in
     # its own call (call 5: restarts 0, 1, 2 each step), then in the batched
-    # system, whose eigh fails on restart 1's system alone; both fakes fail on
-    # content, so restart 1 fails again when solved alone, and either error
-    # carries restart 1's one record
+    # system, whose eigh fails on restart 1's system alone, then in the batched
+    # system's multiplier search (search 5: at this budget restarts 0, 1, 2 each
+    # search on their first steps); the fakes fail on content, so restart 1 fails
+    # again when solved alone, and each error carries restart 1's one record
     rng = np.random.default_rng(11)
     lay, H, _ = random_instance(rng, 3, 2, 3, ((0, 1), (0, 2), (1, 2)), 1)
-    opt = SolverOptions(n_restarts=3)
-    W1 = zf_beamformers(lay, H, 10.0, 1.0).W
-    expected = beamforming._optimize_single(lay, H, 10.0, 1.0, opt, W1[None])[0].trace[:1]
+    opt, P_T = SolverOptions(n_restarts=3), 1.0
+    W1 = zf_beamformers(lay, H, P_T, 1.0).W
+    expected = beamforming._optimize_single(lay, H, P_T, 1.0, opt, W1[None])[0].trace[:1]
     real, calls, failing_lam = beamforming.solve_tx_with_power, [], []
 
     @beamforming._typed_linalg
@@ -572,14 +573,26 @@ def test_lockstep_failure_carries_only_that_runs_trace(monkeypatch):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return real_eigh(A)
 
+    real_bisect, searches, failing_evals = beamforming._bisect_mu, [], []
+
+    def _bisect_mu(evals, *args):
+        searches.append(1)
+        if len(searches) == 5:
+            failing_evals.append(evals.copy())  # restart 1's second system
+        if any(np.array_equal(evals, F) for F in failing_evals):
+            raise SolverError("power bisection did not converge")
+        return real_bisect(evals, *args)
+
     for module, fake, where in ((beamforming, solve_tx_with_power, "solve_tx_with_power"),
-                                (np.linalg, eigh, "_tx_system")):
+                                (np.linalg, eigh, "_tx_system"),
+                                (beamforming, _bisect_mu, "power bisection")):
         with monkeypatch.context() as patch:
             patch.setattr(module, fake.__name__, fake)
             with pytest.raises(SolverError, match=where) as exc:
-                optimize(lay, H, 10.0, 1.0, options=opt)
+                optimize(lay, H, P_T, 1.0, options=opt)
         assert exc.value.trace == expected
-    assert failing and failing_lam  # the batched system and restart 1's own call failed
+    # the batched system, its search and restart 1's own call failed
+    assert failing and failing_evals and failing_lam
 
 
 def test_lockstep_failure_is_the_sequential_one(monkeypatch):

@@ -46,6 +46,10 @@ def test_symmetric_rate_rejects_nonpositive():
     for bad in (math.nan, math.inf):  # not positive and finite either
         with pytest.raises(InputError):
             symmetric_rate([bad], 3, 3)
+    # a zero, negative or non-integer count and a non-positive factor are config errors
+    for K, theta, factor in ((3, 3, 0.0), (3, 3, -1.0), (0, 3, 1.0), (3, 0, 1.0), (3.5, 3, 1.0)):
+        with pytest.raises(ConfigError):
+            symmetric_rate([1.0], K, theta, factor)
 
 
 def test_symmetric_rate_harmonic_bounds():
